@@ -1,7 +1,9 @@
 // Command esh is the search tool of the reproduction: given a query
 // procedure and a target database of procedures in assembler-text form,
 // it prints the targets ranked by the statistical similarity (GES) of the
-// paper, alongside the S-VCP and S-LOG sub-method scores.
+// paper, or by the S-LOG or S-VCP sub-method score with -method. Only
+// -method svcp runs the reverse VCP direction that baseline needs; Esh
+// and S-LOG use the forward direction alone.
 //
 // Usage:
 //
@@ -179,7 +181,7 @@ func main() {
 		*repeat = 1
 	}
 	ctx, root := telemetry.StartSpan(context.Background(), "query")
-	rep, err := db.QueryCtx(ctx, query)
+	rep, err := db.QueryCtx(ctx, query, m)
 	root.End()
 	if err != nil {
 		fail("query: %v", err)
@@ -191,7 +193,7 @@ func main() {
 	lat.Observe(root.Duration().Seconds())
 	for i := 1; i < *repeat; i++ {
 		rctx, rspan := telemetry.StartSpan(context.Background(), "query")
-		if _, err := db.QueryCtx(rctx, query); err != nil {
+		if _, err := db.QueryCtx(rctx, query, m); err != nil {
 			fail("query (repeat %d): %v", i, err)
 		}
 		lat.Observe(rspan.End().Seconds())

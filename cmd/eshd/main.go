@@ -15,8 +15,12 @@
 // Endpoints:
 //
 //	POST /v1/query          {"asm": "...", "method": "esh|slog|svcp", "top": 20}
+//	                        rows carry score, ges and slog; svcp only with
+//	                        method svcp, the one method that runs the
+//	                        reverse VCP direction
 //	                        append ?trace=1 for a per-stage timing breakdown
 //	POST /v1/query/partial  shard-local partial scores, for an eshgw coordinator
+//	                        (same body; S-VCP only with method svcp)
 //	GET  /v1/targets        indexed procedures with provenance
 //	POST /v1/targets        index new procedures live (requires -wal)
 //	DELETE /v1/targets/{name}  tombstone a target (requires -wal)

@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -287,9 +288,12 @@ type DB struct {
 	markPool sync.Pool
 
 	// vcpCache memoizes forward and reverse VCP by (query strand key,
-	// target strand key). It is bounded by Options.VCPCachePairs with
-	// FIFO eviction at query-strand granularity: cacheOrder records
-	// query keys in insertion order, cachePairs counts cached pairs.
+	// target strand key). The reverse slot holds NaN until an S-VCP
+	// query computes it (a real VCP is in [0,1], never NaN): Esh and
+	// S-LOG queries compute and cache the forward direction only. It is
+	// bounded by Options.VCPCachePairs with FIFO eviction at
+	// query-strand granularity: cacheOrder records query keys in
+	// insertion order, cachePairs counts cached pairs.
 	mu         sync.Mutex
 	vcpCache   map[string]map[string][2]float64
 	cacheOrder []string
@@ -308,6 +312,7 @@ type DB struct {
 	mPairsIdent    *telemetry.Counter
 	mVerifierCalls *telemetry.Counter
 	mGamma         *telemetry.Counter
+	mGammaCapped   *telemetry.Counter
 	mQueries       *telemetry.Counter
 	mLSHSkipped    *telemetry.Counter
 	mDeadDirs      *telemetry.Counter
@@ -392,8 +397,9 @@ func (db *DB) initMetrics() {
 	db.mCacheEvict = reg.Counter("esh_vcp_cache_evictions_total", "Query-strand rows evicted from the VCP cache.")
 	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
-	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations (two per cache miss: forward and reverse).")
+	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one forward direction per cache miss, plus the reverse direction for S-VCP queries.")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
+	db.mGammaCapped = reg.Counter("esh_vcp_gamma_capped_total", "Verifier directions that ended at the γ cap (MaxCorrespondences) without a perfect match; their VCP is a lower bound.")
 	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
 	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel.")
@@ -915,15 +921,20 @@ type DBStats struct {
 	VCPCacheCap     int
 	VCPCacheEvicted uint64
 	// Lifetime cache traffic: hits reused a cached pair result, misses
-	// computed one (two verifier calls each).
+	// computed one (the forward direction, plus the reverse for S-VCP
+	// queries; an S-VCP query that finds only the forward direction
+	// cached computes the reverse and counts a miss).
 	VCPCacheHits   uint64
 	VCPCacheMisses uint64
 	// VCPPairsPruned counts pairs rejected by the size-ratio window;
 	// VerifierCalls counts vcp.Compute invocations;
-	// VerifierCorrespondences counts γ evaluations inside them.
+	// VerifierCorrespondences counts γ evaluations inside them;
+	// GammaCapped counts the calls that ended at the γ cap without a
+	// perfect match (their VCP is a lower bound).
 	VCPPairsPruned          uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
+	GammaCapped             uint64
 	// Prefilter is the active mode (PrefilterOff or PrefilterLSH);
 	// LSHBands/LSHRows the sketch geometry; LSHMinContainment the
 	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
@@ -1017,6 +1028,7 @@ func (db *DB) Stats() DBStats {
 		VCPPairsPruned:           db.mPairsPruned.Value(),
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
+		GammaCapped:              db.mGammaCapped.Value(),
 		Prefilter:                prefilter,
 		LSHBands:                 skCfg.Bands,
 		LSHRows:                  skCfg.Rows,
@@ -1160,19 +1172,26 @@ func (db *DB) AddTarget(p *asm.Proc) error {
 	return nil
 }
 
-// TargetScore is one row of a query result: the three method scores for
-// one target, plus ground-truth provenance for evaluation.
+// TargetScore is one row of a query result: the method scores for one
+// target, plus ground-truth provenance for evaluation. SLOG and GES are
+// always computed; SVCP only when HasSVCP is set (see QueryCtx).
 type TargetScore struct {
-	Target *Target
-	SVCP   float64
-	SLOG   float64
-	GES    float64 // the full Esh score
+	Target  *Target
+	SVCP    float64
+	SLOG    float64
+	GES     float64 // the full Esh score
+	HasSVCP bool    // SVCP was computed (the query asked for S-VCP)
 }
 
-// Score returns the score under the requested method.
+// Score returns the score under the requested method. Asking for S-VCP
+// from a query that did not compute it is a programming error and
+// panics rather than reading a silent 0.
 func (ts TargetScore) Score(m stats.Method) float64 {
 	switch m {
 	case stats.SVCP:
+		if !ts.HasSVCP {
+			panic(errNoSVCP)
+		}
 		return ts.SVCP
 	case stats.SLOG:
 		return ts.SLOG
@@ -1189,25 +1208,46 @@ type Report struct {
 	NumStrands int // query strands surviving the size filter
 	// Results holds one entry per target, sorted by descending GES.
 	Results []TargetScore
+	// HasSVCP reports whether the query computed S-VCP scores.
+	HasSVCP bool
 }
 
+// errNoSVCP is the panic value of an S-VCP read from a query that ran
+// the forward VCP direction only.
+const errNoSVCP = "core: S-VCP requested from a query that did not compute it (query with stats.SVCP)"
+
 // Rank returns the results re-sorted by the given method's score
-// (descending). The receiver is unchanged.
+// (descending). The receiver is unchanged. Ranking by S-VCP a report
+// that did not compute it panics (see TargetScore.Score).
 func (r *Report) Rank(m stats.Method) []TargetScore {
+	if m == stats.SVCP && !r.HasSVCP {
+		panic(errNoSVCP)
+	}
 	out := make([]TargetScore, len(r.Results))
 	copy(out, r.Results)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score(m) > out[j].Score(m) })
 	return out
 }
 
-// Query scores every indexed target against the query procedure. It is
-// QueryCtx with a background context (metrics are still recorded; no
-// trace tree is reachable by the caller).
+// Query scores every indexed target against the query procedure under
+// all three methods. It is QueryCtx with a background context and
+// stats.SVCP (metrics are still recorded; no trace tree is reachable by
+// the caller).
 func (db *DB) Query(p *asm.Proc) (*Report, error) {
-	return db.QueryCtx(context.Background(), p)
+	return db.QueryCtx(context.Background(), p, stats.SVCP)
 }
 
+// needsReverse reports whether ranking by m needs the reverse VCP
+// direction VCP(target strand, query strand). Only S-VCP reads it (§6.2
+// sums over target strands); Esh and S-LOG use the forward direction
+// alone.
+func needsReverse(m stats.Method) bool { return m == stats.SVCP }
+
 // QueryCtx scores every indexed target against the query procedure.
+// m is the method the caller ranks by. Esh and S-LOG scores are always
+// computed; stats.SVCP additionally runs the reverse VCP direction its
+// baseline needs, and only then does the report carry S-VCP scores
+// (Report.HasSVCP).
 // Each pipeline stage (decompose, prepare, vcp, score) is recorded as a
 // child of the telemetry span carried by ctx (if any) with work counts
 // attached — strand pairs examined, cache hits and misses, verifier
@@ -1219,9 +1259,9 @@ func (db *DB) Query(p *asm.Proc) (*Report, error) {
 // corpus counts; running the identical code path for the sharded and
 // unsharded cases is what makes a gateway merge provably score-identical
 // to a single node.
-func (db *DB) QueryCtx(ctx context.Context, p *asm.Proc) (*Report, error) {
+func (db *DB) QueryCtx(ctx context.Context, p *asm.Proc, m stats.Method) (*Report, error) {
 	qc := db.snapshotConfig()
-	qp, err := db.partialQuery(ctx, p, &qc)
+	qp, err := db.partialQuery(ctx, p, &qc, needsReverse(m))
 	if err != nil {
 		return nil, err
 	}
@@ -1237,20 +1277,23 @@ func (db *DB) QueryCtx(ctx context.Context, p *asm.Proc) (*Report, error) {
 // PartialQueryCtx runs the query pipeline up to (but excluding) the
 // corpus-wide H0 estimate: decompose, prepare, the VCP pair loop, and
 // the order-insensitive per-target reductions (best forward VCP per
-// query strand, S-VCP). The returned QueryPartial carries everything a
-// coordinator needs to merge this shard's view with others' and produce
-// scores bit-identical to a single node holding the union corpus — see
-// QueryPartial.Finalize for the exactness argument.
-func (db *DB) PartialQueryCtx(ctx context.Context, p *asm.Proc) (*QueryPartial, error) {
+// query strand and, when m is stats.SVCP, S-VCP). The returned
+// QueryPartial carries everything a coordinator needs to merge this
+// shard's view with others' and produce scores bit-identical to a
+// single node holding the union corpus — see QueryPartial.Finalize for
+// the exactness argument.
+func (db *DB) PartialQueryCtx(ctx context.Context, p *asm.Proc, m stats.Method) (*QueryPartial, error) {
 	qc := db.snapshotConfig()
-	return db.partialQuery(ctx, p, &qc)
+	return db.partialQuery(ctx, p, &qc, needsReverse(m))
 }
 
 // partialQuery is the shared pipeline body behind QueryCtx and
 // PartialQueryCtx: both snapshot the configuration exactly once and run
 // every stage — and, for QueryCtx, finalization — against that view, so
 // a live write landing mid-query can never mix two corpus states.
-func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*QueryPartial, error) {
+// reverse selects whether stage 3 also computes the reverse direction
+// (and stage 4 the S-VCP reduction over it).
+func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, reverse bool) (*QueryPartial, error) {
 	db.mQueries.Inc()
 
 	// Stage 1: decompose — disassembly → CFG → lift → strands.
@@ -1268,6 +1311,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 		NumBlocks:  nBlocks,
 		NumStrands: len(kept),
 		SigmoidK:   qc.opts.SigmoidK,
+		HasSVCP:    reverse,
 	}
 
 	// Stage 2: prepare — deduplicate query strands (multiplicity becomes
@@ -1303,10 +1347,11 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	db.observeStage("prepare", spPrep.End())
 
 	// Stage 3: vcp — for each unique query strand, compute the VCP row
-	// against every unique target strand, in both directions. The
-	// forward direction VCP(sq, st) drives S-LOG and Esh; the reverse
+	// against every unique target strand. The forward direction
+	// VCP(sq, st) drives S-LOG and Esh and always runs; the reverse
 	// direction VCP(st, sq) drives the paper's S-VCP definition (§6.2),
-	// which sums over target strands. The rows are cut into pair-level
+	// which sums over target strands, and runs only when reverse is set
+	// (S-VCP queries). The rows are cut into pair-level
 	// chunks and drained by a bounded worker pool (see vcpRows), so a
 	// query of few large strands still saturates every worker and the
 	// goroutine count is bounded by Workers rather than the strand count.
@@ -1330,11 +1375,16 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	} else {
 		spVCP.SetAttr("retrieval_probe", 0)
 	}
+	if reverse {
+		spVCP.SetAttr("reverse", 1)
+	} else {
+		spVCP.SetAttr("reverse", 0)
+	}
 	preps := make([]*vcp.Prepared, len(qs))
 	for i, q := range qs {
 		preps[i] = q.prep
 	}
-	rows, revRows := db.vcpRows(preps, spVCP, qc)
+	rows, revRows := db.vcpRows(preps, spVCP, qc, reverse)
 	db.observeStage("vcp", spVCP.End())
 
 	qp.Weights = make([]float64, len(qs))
@@ -1349,14 +1399,18 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 	// strand shared between two targets contributes to each target's sum
 	// on whichever shard holds that target, from rows computed against
 	// the full query — so per-shard values equal single-node values).
+	// Without the reverse direction there is no S-VCP to reduce.
 	_, spScore := telemetry.StartSpan(ctx, "score")
 
 	// maxRev[j]: the best any query strand contains target strand j.
-	maxRev := make([]float64, len(qc.uniq))
-	for i := range qs {
-		for j, v := range revRows[i] {
-			if v > maxRev[j] {
-				maxRev[j] = v
+	var maxRev []float64
+	if reverse {
+		maxRev = make([]float64, len(qc.uniq))
+		for i := range qs {
+			for j, v := range revRows[i] {
+				if v > maxRev[j] {
+					maxRev[j] = v
+				}
 			}
 		}
 	}
@@ -1381,8 +1435,10 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig) (*
 			maxVCPs[i] = best
 		}
 		svcp := 0.0
-		for _, j := range t.strandIdx {
-			svcp += maxRev[j]
+		if reverse {
+			for _, j := range t.strandIdx {
+				svcp += maxRev[j]
+			}
 		}
 		qp.Targets = append(qp.Targets, PartialScore{Target: t, SVCP: svcp, MaxVCP: maxVCPs})
 	}
@@ -1412,10 +1468,23 @@ type rowStats struct {
 	calls       int   // vcp.Compute invocations (up to two per miss)
 	deadDirs    int   // per-direction calls avoided as provably zero
 	gamma       int   // input correspondences evaluated inside them
+	capped      int   // calls that ended at the γ cap without a perfect match
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes
 	gammaRows   int64 // correspondences those flushes carried
 	gammaWidth  int   // configured γ-batch width (for occupancy)
+}
+
+// add counts one verifier call's work.
+func (rs *rowStats) add(st vcp.Stats) {
+	rs.calls++
+	rs.gamma += st.Correspondences
+	if st.Capped {
+		rs.capped++
+	}
+	rs.kernelNanos += st.KernelNanos
+	rs.gammaB += st.Batches
+	rs.gammaRows += st.BatchRows
 }
 
 // merge folds a chunk's local counts into the row accumulator. The
@@ -1430,6 +1499,7 @@ func (rs *rowStats) merge(d rowStats) {
 	rs.calls += d.calls
 	rs.deadDirs += d.deadDirs
 	rs.gamma += d.gamma
+	rs.capped += d.capped
 	rs.kernelNanos += d.kernelNanos
 	rs.gammaB += d.gammaB
 	rs.gammaRows += d.gammaRows
@@ -1447,6 +1517,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mCacheMisses.Add(uint64(rs.misses))
 	db.mVerifierCalls.Add(uint64(rs.calls))
 	db.mGamma.Add(uint64(rs.gamma))
+	db.mGammaCapped.Add(uint64(rs.capped))
 	db.mKernelNanos.Add(uint64(rs.kernelNanos))
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
@@ -1489,6 +1560,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	sp.AddAttr("cache_misses", float64(rs.misses))
 	sp.AddAttr("verifier_calls", float64(rs.calls))
 	sp.AddAttr("correspondences", float64(rs.gamma))
+	sp.AddAttr("gamma_capped", float64(rs.capped))
 	sp.AddAttr("kernel_nanos", float64(rs.kernelNanos))
 	sp.AddAttr("gamma_batches", float64(rs.gammaB))
 	sp.AddAttr("gamma_batch_rows", float64(rs.gammaRows))
@@ -1523,7 +1595,7 @@ func pairChunk(nq, n, workers int) int {
 type vcpRowState struct {
 	q        *vcp.Prepared
 	qc       *queryConfig // the query's entry-time configuration snapshot
-	fwd, rev []float64
+	fwd, rev []float64    // rev is nil when the query skips the reverse direction
 
 	// Probe mode: the retrieved candidate ids, filled at row setup
 	// (before chunking — the chunk cuts cover this list, not [0, n)).
@@ -1544,19 +1616,22 @@ type vcpRowState struct {
 	pending atomic.Int32 // chunks not yet finished
 }
 
-// vcpRows computes VCP(q, u) and VCP(u, q) for every (query strand q,
-// unique target strand u) pair, applying the §5.5 size window and the
-// cross-query memo cache. All rows are cut into pairChunkSize chunks up
+// vcpRows computes VCP(q, u) — and, when reverse is set, VCP(u, q) —
+// for every (query strand q, unique target strand u) pair, applying the
+// §5.5 size window and the cross-query memo cache. revRows is nil
+// without reverse. All rows are cut into pairChunkSize chunks up
 // front and drained through one shared queue by min(Workers, chunks)
 // goroutines, so parallelism comes from the pair population rather than
 // the strand count: a query with fewer strands than workers no longer
 // leaves cores idle, and a query with thousands of strands no longer
 // spawns a goroutine per strand. Work counts flow into sp (the shared
 // vcp stage span) and the DB counters once per row.
-func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (rows, revRows [][]float64) {
+func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, reverse bool) (rows, revRows [][]float64) {
 	n := len(qc.uniq)
 	rows = make([][]float64, len(qs))
-	revRows = make([][]float64, len(qs))
+	if reverse {
+		revRows = make([][]float64, len(qs))
+	}
 	states := make([]*vcpRowState, len(qs))
 	probe := qc.probeOn() && qc.retr != nil
 	totalPairs := 0
@@ -1569,8 +1644,11 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 			q:     q,
 			qc:    qc,
 			fwd:   make([]float64, n),
-			rev:   make([]float64, n),
 			fresh: map[string][2]float64{},
+		}
+		if reverse {
+			st.rev = make([]float64, n)
+			revRows[i] = st.rev
 		}
 		if probe {
 			// Probe the retrieval table up front: the chunk cuts below
@@ -1596,7 +1674,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig) (
 			totalPairs += n
 		}
 		states[i] = st
-		rows[i], revRows[i] = st.fwd, st.rev
+		rows[i] = st.fwd
 	}
 	if probe {
 		db.putMark(scratch)
@@ -1674,8 +1752,11 @@ func (db *DB) initRow(st *vcpRowState) {
 
 // vcpChunk processes the target strands [lo, hi) of one row: the pair
 // loop body (identical-key short circuit, prefilter, size window, memo
-// cache, verifier calls in both live directions) over a local stats
-// accumulator and fresh-entry map, merged into the row under its lock.
+// cache, verifier calls in each live direction the query needs) over a
+// local stats accumulator and fresh-entry map, merged into the row
+// under its lock. A forward-only query caches the reverse slot as NaN;
+// a reverse-reading query that hits such an entry computes only the
+// reverse direction and writes it back.
 // The identical-key short circuit stays ahead of the prefilter so an
 // exact structural match can never be lost to sketch noise. The chunk
 // that completes the row triggers finishRow.
@@ -1692,8 +1773,8 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	// across every pair here instead of being re-acquired per pair.
 	// (Chunks of one row run on concurrent workers and kernels are not
 	// concurrency-safe, so the unit of reuse is the chunk, not the row.)
-	// The reverse direction swaps the query to the target strand each
-	// pair, so it keeps the per-call path; the pool makes that cheap.
+	// The reverse direction (S-VCP queries only) swaps the query to the
+	// target strand each pair, so it keeps the per-call path.
 	fwdEval := vcp.NewEvaluator(q, st.qc.opts.VCP)
 	defer fwdEval.Close()
 	for k := lo; k < hi; k++ {
@@ -1713,7 +1794,10 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 		u := st.qc.uniq[j]
 		uKey := u.Key()
 		if qKey == uKey {
-			st.fwd[j], st.rev[j] = 1.0, 1.0 // identical strands match exactly
+			st.fwd[j] = 1.0 // identical strands match exactly, both ways
+			if st.rev != nil {
+				st.rev[j] = 1.0
+			}
 			rs.identical++
 			continue
 		}
@@ -1727,7 +1811,10 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 			continue
 		}
 		v, hit := st.cached[uKey]
-		if !hit {
+		needRev := st.rev != nil && (!hit || math.IsNaN(v[1]))
+		if hit && !needRev {
+			rs.hits++
+		} else {
 			// With the prefilter on (or a probed candidate set), a
 			// candidate pair can still be injectability-dead in ONE
 			// direction: that direction's VCP is exactly 0 and its
@@ -1737,37 +1824,36 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 				uSum := st.qc.sums[j]
 				fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
 			}
-			if fwdLive {
-				fv, fst := fwdEval.Compute(u)
-				v[0] = fv
-				rs.calls++
-				rs.gamma += fst.Correspondences
-				rs.kernelNanos += fst.KernelNanos
-				rs.gammaB += fst.Batches
-				rs.gammaRows += fst.BatchRows
-			} else {
-				rs.deadDirs++
+			if !hit {
+				v[1] = math.NaN() // reverse not computed unless needRev
+				if fwdLive {
+					fv, fst := fwdEval.Compute(u)
+					v[0] = fv
+					rs.add(fst)
+				} else {
+					rs.deadDirs++
+				}
 			}
-			if revLive {
-				rv, rst := vcp.ComputeWithStats(u, q, st.qc.opts.VCP)
-				v[1] = rv
-				rs.calls++
-				rs.gamma += rst.Correspondences
-				rs.kernelNanos += rst.KernelNanos
-				rs.gammaB += rst.Batches
-				rs.gammaRows += rst.BatchRows
-			} else {
-				rs.deadDirs++
+			if needRev {
+				v[1] = 0 // stays 0 when the direction is dead
+				if revLive {
+					rv, rst := vcp.ComputeWithStats(u, q, st.qc.opts.VCP)
+					v[1] = rv
+					rs.add(rst)
+				} else {
+					rs.deadDirs++
+				}
 			}
 			rs.misses++
 			if fresh == nil {
 				fresh = map[string][2]float64{}
 			}
 			fresh[uKey] = v
-		} else {
-			rs.hits++
 		}
-		st.fwd[j], st.rev[j] = v[0], v[1]
+		st.fwd[j] = v[0]
+		if st.rev != nil {
+			st.rev[j] = v[1]
+		}
 	}
 
 	st.mu.Lock()
@@ -1805,8 +1891,12 @@ func (db *DB) finishRow(st *vcpRowState, sp *telemetry.Span) {
 		db.cacheOrder = append(db.cacheOrder, qKey)
 	}
 	for k, v := range st.fresh {
-		if _, dup := shared[k]; !dup {
+		if old, dup := shared[k]; !dup {
 			db.cachePairs++
+		} else if math.IsNaN(v[1]) {
+			// A concurrent S-VCP query may have filled the reverse slot
+			// since this row read the cache; keep it.
+			v[1] = old[1]
 		}
 		shared[k] = v
 	}

@@ -24,10 +24,10 @@ import (
 //     prefilter decisions are per-pair deterministic).
 //   - PartialScore.MaxVCP: a max over the target's own strands — every
 //     input lives on the target's shard.
-//   - PartialScore.SVCP: a sum over the target's own strands of
-//     maxRev[j], where maxRev[j] is a max over *query* strands of
-//     VCP(target strand j, query strand) — and every shard runs the
-//     full query, so maxRev[j] is exact on the shard holding j.
+//   - PartialScore.SVCP (S-VCP queries only): a sum over the target's
+//     own strands of maxRev[j], where maxRev[j] is a max over *query*
+//     strands of VCP(target strand j, query strand) — and every shard
+//     runs the full query, so maxRev[j] is exact on the shard holding j.
 //   - H0 (the part deferred to Finalize): a corpus-weighted mean over
 //     ALL unique strands in index order. Floating-point addition is not
 //     associative, so per-shard partial sums would NOT merge
@@ -42,6 +42,10 @@ type QueryPartial struct {
 	// k=10); a coordinator must refuse to merge partials computed under
 	// different k.
 	SigmoidK float64
+	// HasSVCP reports whether the reverse VCP direction ran, so
+	// PartialScore.SVCP holds the S-VCP score. A coordinator must refuse
+	// to merge partials that disagree on it.
+	HasSVCP bool
 	// Weights[i] is the multiplicity of unique query strand i (its LES
 	// weight). Unique strands are in first-seen decomposition order,
 	// which depends only on the query text — all databases handed the
@@ -65,7 +69,8 @@ type QueryPartial struct {
 // PartialScore is the shard-exact half of one target's score.
 type PartialScore struct {
 	Target *Target
-	// SVCP is the paper's S-VCP score (exact per shard, see above).
+	// SVCP is the paper's S-VCP score (exact per shard, see above); 0
+	// and meaningless unless the partial's HasSVCP is set.
 	SVCP float64
 	// MaxVCP[i] is the best VCP(query strand i, t) over the target's
 	// strands — the Pr(s_q|t) input of the LES.
@@ -113,13 +118,15 @@ func (qp *QueryPartial) FinalizeOrder(counts []int, order []int32) *Report {
 		NumBlocks:  qp.NumBlocks,
 		NumStrands: qp.NumStrands,
 		Results:    make([]TargetScore, len(qp.Targets)),
+		HasSVCP:    qp.HasSVCP,
 	}
 	for ti, ps := range qp.Targets {
 		rep.Results[ti] = TargetScore{
-			Target: ps.Target,
-			SVCP:   ps.SVCP,
-			SLOG:   stats.GES(stats.SLOG, ps.MaxVCP, evidence),
-			GES:    stats.GES(stats.Esh, ps.MaxVCP, evidence),
+			Target:  ps.Target,
+			SVCP:    ps.SVCP,
+			SLOG:    stats.GES(stats.SLOG, ps.MaxVCP, evidence),
+			GES:     stats.GES(stats.Esh, ps.MaxVCP, evidence),
+			HasSVCP: qp.HasSVCP,
 		}
 	}
 	sort.SliceStable(rep.Results, func(i, j int) bool {

@@ -146,7 +146,12 @@ func startFleet(t *testing.T, n int, mutate func(*Config)) *fleet {
 
 func postQuery(t *testing.T, url, asmText string) *http.Response {
 	t.Helper()
-	body, _ := json.Marshal(server.QueryRequest{Asm: asmText, Top: 100})
+	return postQueryMethod(t, url, asmText, "")
+}
+
+func postQueryMethod(t *testing.T, url, asmText, method string) *http.Response {
+	t.Helper()
+	body, _ := json.Marshal(server.QueryRequest{Asm: asmText, Method: method, Top: 100})
 	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +175,15 @@ func decodeResponse(t *testing.T, resp *http.Response) *QueryResponse {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
+// sameOptBits compares two optional wire scores: both absent, or both
+// present and bit-identical.
+func sameOptBits(a, b *float64) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return sameBits(*a, *b)
+}
+
 // requireSameResults asserts two wire responses carry identical ranked
 // rows — names, ranks, and every score bit for bit.
 func requireSameResults(t *testing.T, want, got *QueryResponse, label string) {
@@ -184,7 +198,7 @@ func requireSameResults(t *testing.T, want, got *QueryResponse, label string) {
 		a, b := want.Results[i], got.Results[i]
 		if !reflect.DeepEqual(a, b) ||
 			!sameBits(a.Score, b.Score) || !sameBits(a.GES, b.GES) ||
-			!sameBits(a.SLOG, b.SLOG) || !sameBits(a.SVCP, b.SVCP) {
+			!sameBits(a.SLOG, b.SLOG) || !sameOptBits(a.SVCP, b.SVCP) {
 			t.Fatalf("%s: rank %d differs:\nwant %+v\ngot  %+v", label, i, a, b)
 		}
 	}
@@ -193,19 +207,65 @@ func requireSameResults(t *testing.T, want, got *QueryResponse, label string) {
 // TestGatewayDifferential is the over-HTTP exact-merge guard: for N in
 // {1,2,4}, the gateway's ranked rows must be identical — names and raw
 // GES/SLOG/SVCP/sigmoid scores to the bit — to a single eshd serving
-// the union corpus, and the response must not be flagged partial.
+// the union corpus, and the response must not be flagged partial. The
+// gateway forwards the method: a default query carries no svcp, a
+// method=svcp query carries it on every row, from both paths alike.
 func TestGatewayDifferential(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		f := startFleet(t, n, nil)
-		for _, q := range []string{gccStyle, memStyle} {
-			want := decodeResponse(t, postQuery(t, f.single.URL, q))
-			got := decodeResponse(t, postQuery(t, f.gwSrv.URL, q))
-			if got.Partial || len(got.MissingShards) != 0 {
-				t.Fatalf("n=%d: complete fleet flagged partial (missing %v)", n, got.MissingShards)
+		for _, method := range []string{"", "svcp"} {
+			for _, q := range []string{gccStyle, memStyle} {
+				want := decodeResponse(t, postQueryMethod(t, f.single.URL, q, method))
+				got := decodeResponse(t, postQueryMethod(t, f.gwSrv.URL, q, method))
+				if got.Partial || len(got.MissingShards) != 0 {
+					t.Fatalf("n=%d: complete fleet flagged partial (missing %v)", n, got.MissingShards)
+				}
+				requireSameResults(t, want, got, method+"/"+q[:20])
+				for i, r := range got.Results {
+					if (r.SVCP != nil) != (method == "svcp") {
+						t.Fatalf("n=%d method %q: rank %d svcp present=%t", n, method, i, r.SVCP != nil)
+					}
+				}
 			}
-			requireSameResults(t, want, got, q[:20])
 		}
 	}
+}
+
+// TestGatewayRefusesSVCPLessFleet puts every shard behind a proxy that
+// drops the forwarded method, the way a shard that predates per-query
+// methods would answer: an S-VCP query must then fail with an error
+// instead of ranking by scores nobody computed.
+func TestGatewayRefusesSVCPLessFleet(t *testing.T) {
+	f := startFleet(t, 2, func(cfg *Config) {
+		for s, reps := range cfg.Shards {
+			target := reps[0]
+			strip := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req server.QueryRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					w.WriteHeader(http.StatusBadRequest)
+					return
+				}
+				body, _ := json.Marshal(server.QueryRequest{Asm: req.Asm})
+				resp, err := http.Post(target+r.URL.String(), "application/json", bytes.NewReader(body))
+				if err != nil {
+					w.WriteHeader(http.StatusBadGateway)
+					return
+				}
+				defer resp.Body.Close()
+				w.WriteHeader(resp.StatusCode)
+				io.Copy(w, resp.Body)
+			}))
+			t.Cleanup(strip.Close)
+			cfg.Shards[s] = []string{strip.URL}
+		}
+	})
+	resp := postQueryMethod(t, f.gwSrv.URL, gccStyle, "svcp")
+	if resp.StatusCode != http.StatusInternalServerError {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("svcp query over an S-VCP-less fleet = %d (%s), want 500", resp.StatusCode, msg)
+	}
+	// The default method needs nothing the proxy stripped.
+	decodeResponse(t, postQuery(t, f.gwSrv.URL, gccStyle))
 }
 
 // TestGatewayShardDown kills one shard and requires a 200 with the

@@ -14,6 +14,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -282,9 +283,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Forward a canonical body: the query procedure only, ignored
-	// method/top stripped.
-	fwd, err := json.Marshal(server.QueryRequest{Asm: req.Asm})
+	// Forward a canonical body: the query procedure and its method
+	// (which decides whether the shards pay for S-VCP), ignored top
+	// stripped.
+	fwd, err := json.Marshal(server.QueryRequest{Asm: req.Asm, Method: req.Method})
 	if err != nil {
 		g.fail(w, http.StatusInternalServerError, "encode fan-out body: %v", err)
 		return
@@ -309,6 +311,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		parts = append(parts, rep.partial)
 	}
 	report, missing, err := shard.Merge(g.cfg.Manifest, parts)
+	if err == nil && m == stats.SVCP && !report.HasSVCP {
+		err = fmt.Errorf("shards answered without S-VCP for method %q", req.Method)
+	}
 	if err != nil {
 		g.count("failure")
 		g.record(rid, "failure", err.Error(), start, root, replies)

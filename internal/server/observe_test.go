@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
@@ -40,7 +41,7 @@ func getJSON(t *testing.T, url string, out any) {
 func TestSlowQueryCaptureWithoutTrace(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SlowQueryThreshold = 5 * time.Millisecond
-	_, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *asm.Proc, _ stats.Method) (*core.Report, error) {
 		// Simulate an engine with one instrumented stage, like QueryCtx.
 		_, sp := telemetry.StartSpan(ctx, "vcp")
 		sp.SetAttr("pairs", 42)
@@ -149,7 +150,7 @@ func TestPartialSlowFailureCapture(t *testing.T) {
 	cfg := quietConfig()
 	cfg.SlowQueryThreshold = 5 * time.Millisecond
 	s := New(testDB(t), cfg)
-	s.partialFn = func(ctx context.Context, p *asm.Proc) (*core.QueryPartial, error) {
+	s.partialFn = func(ctx context.Context, p *asm.Proc, _ stats.Method) (*core.QueryPartial, error) {
 		time.Sleep(20 * time.Millisecond)
 		return nil, fmt.Errorf("verifier backend lost")
 	}

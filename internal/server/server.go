@@ -117,8 +117,8 @@ type Server struct {
 	snapshot index.Info
 	// queryFn indirects db.QueryCtx so tests can inject slow or failing
 	// queries deterministically; partialFn likewise for db.PartialQueryCtx.
-	queryFn   func(context.Context, *asm.Proc) (*core.Report, error)
-	partialFn func(context.Context, *asm.Proc) (*core.QueryPartial, error)
+	queryFn   func(context.Context, *asm.Proc, stats.Method) (*core.Report, error)
+	partialFn func(context.Context, *asm.Proc, stats.Method) (*core.QueryPartial, error)
 
 	// ready gates /readyz: true once the snapshot is loaded and
 	// serving, flipped false by SetReady during graceful drain so load
@@ -331,6 +331,8 @@ type QueryRequest struct {
 	// first is the query.
 	Asm string `json:"asm"`
 	// Method is the ranking method: "esh" (default), "slog", "svcp".
+	// Only "svcp" pays for the reverse VCP direction, and only then do
+	// the results carry S-VCP scores. /v1/query/partial reads it too.
 	Method string `json:"method,omitempty"`
 	// Top bounds the number of ranked results (default 20).
 	Top int `json:"top,omitempty"`
@@ -346,7 +348,8 @@ type QueryResult struct {
 	Score     float64 `json:"score"`
 	GES       float64 `json:"ges"`
 	SLOG      float64 `json:"slog"`
-	SVCP      float64 `json:"svcp"`
+	// SVCP is present only when the query asked for method "svcp".
+	SVCP *float64 `json:"svcp,omitempty"`
 }
 
 // QueryResponse is the POST /v1/query reply.
@@ -534,7 +537,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	qctx, root := telemetry.StartSpan(context.Background(), "query")
 	go func() {
 		defer func() { <-s.sem }()
-		rep, err := s.queryFn(qctx, procs[0])
+		rep, err := s.queryFn(qctx, procs[0], m)
 		root.End()
 		done <- result{rep, err}
 	}()
@@ -585,8 +588,9 @@ type PartialResponse struct {
 
 // handlePartial runs the shard-local stages of a query and returns the
 // wire-form partial instead of finalized scores. Request shape is the
-// same as /v1/query (method and top are ignored — ranking happens at
-// the gateway), as are admission, timeout, and outcome accounting.
+// same as /v1/query (top is ignored — ranking happens at the gateway;
+// method decides whether the shard computes S-VCP), as are admission,
+// timeout, and outcome accounting.
 func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
@@ -598,6 +602,12 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.fail(w, http.StatusBadRequest, "decode request: %v", err)
+		return
+	}
+	m, err := MethodByName(req.Method)
+	if err != nil {
+		s.count("bad_input")
+		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	procs, err := asm.Parse(req.Asm)
@@ -631,7 +641,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	qctx, root := telemetry.StartSpan(context.Background(), "query_partial")
 	go func() {
 		defer func() { <-s.sem }()
-		qp, err := s.partialFn(qctx, procs[0])
+		qp, err := s.partialFn(qctx, procs[0], m)
 		root.End()
 		done <- result{qp, err}
 	}()
@@ -683,7 +693,7 @@ func BuildQueryResponse(rep *core.Report, m stats.Method, top int) *QueryRespons
 		if i >= top {
 			break
 		}
-		resp.Results = append(resp.Results, QueryResult{
+		r := QueryResult{
 			Rank:      i + 1,
 			Target:    ts.Target.Name,
 			Package:   ts.Target.Source.Package,
@@ -692,8 +702,12 @@ func BuildQueryResponse(rep *core.Report, m stats.Method, top int) *QueryRespons
 			Score:     ts.Score(m),
 			GES:       ts.GES,
 			SLOG:      ts.SLOG,
-			SVCP:      ts.SVCP,
-		})
+		}
+		if ts.HasSVCP {
+			v := ts.SVCP
+			r.SVCP = &v
+		}
+		resp.Results = append(resp.Results, r)
 	}
 	return resp
 }
@@ -971,13 +985,15 @@ type StatsResponse struct {
 		TableSkew       float64 `json:"table_skew"`
 	} `json:"retrieval"`
 	// Engine aggregates pipeline work across all queries: verifier
-	// effort, pruning effectiveness, evaluation-kernel mode and time,
-	// γ-invariant hoisting coverage, and cumulative per-stage wall time.
+	// effort (with the directions that hit the γ cap), pruning
+	// effectiveness, evaluation-kernel mode and time, γ-invariant
+	// hoisting coverage, and cumulative per-stage wall time.
 	Engine struct {
 		Queries                 uint64             `json:"queries"`
 		PairsPruned             uint64             `json:"pairs_pruned"`
 		VerifierCalls           uint64             `json:"verifier_calls"`
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
+		GammaCapped             uint64             `json:"gamma_capped"`
 		SigmoidK                float64            `json:"sigmoid_k"`
 		Kernel                  string             `json:"kernel"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
@@ -1078,6 +1094,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
 	resp.Engine.VerifierCalls = dbs.VerifierCalls
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
+	resp.Engine.GammaCapped = dbs.GammaCapped
 	resp.Engine.SigmoidK = s.db.Options().SigmoidK
 	resp.Engine.Kernel = dbs.Kernel
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9

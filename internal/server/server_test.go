@@ -89,7 +89,7 @@ func quietConfig() Config {
 
 // newTestServer starts an httptest server; queryFn (optional) replaces
 // the engine query before the listener accepts traffic.
-func newTestServer(t *testing.T, db *core.DB, cfg Config, queryFn func(context.Context, *asm.Proc) (*core.Report, error)) (*Server, *httptest.Server) {
+func newTestServer(t *testing.T, db *core.DB, cfg Config, queryFn func(context.Context, *asm.Proc, stats.Method) (*core.Report, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = quietConfig().Logger
@@ -115,42 +115,56 @@ func postQuery(t *testing.T, url string, req QueryRequest) *http.Response {
 }
 
 // TestQueryEndpoint checks that HTTP results match an in-process Query
-// exactly (same ranking, same scores bit for bit).
+// exactly (same ranking, same scores bit for bit). The svcp request runs
+// after the esh one has cached the forward direction only, so it also
+// covers the reverse-direction fill-in; the reference is a fresh DB.
 func TestQueryEndpoint(t *testing.T) {
 	db := testDB(t)
 	_, ts := newTestServer(t, db, quietConfig(), nil)
-
-	resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle, Method: "esh", Top: 10})
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("status %d: %s", resp.StatusCode, b)
-	}
-	var got QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
 
 	p, err := asm.ParseProc(gccStyle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Query(p)
+	want, err := testDB(t).Query(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked := want.Rank(stats.Esh)
-	if len(got.Results) != len(ranked) {
-		t.Fatalf("results %d, want %d", len(got.Results), len(ranked))
-	}
-	for i, r := range got.Results {
-		w := ranked[i]
-		if r.Target != w.Target.Name || r.GES != w.GES || r.SLOG != w.SLOG || r.SVCP != w.SVCP {
-			t.Fatalf("rank %d: got (%s %v %v %v), want (%s %v %v %v)",
-				i, r.Target, r.GES, r.SLOG, r.SVCP, w.Target.Name, w.GES, w.SLOG, w.SVCP)
+	for _, tc := range []struct {
+		method string
+		m      stats.Method
+	}{{"esh", stats.Esh}, {"svcp", stats.SVCP}} {
+		resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle, Method: tc.method, Top: 10})
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("%s: status %d: %s", tc.method, resp.StatusCode, b)
 		}
-	}
-	if got.Results[0].Target != "checksum_icc" {
-		t.Fatalf("top result %s, want checksum_icc", got.Results[0].Target)
+		var got QueryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		ranked := want.Rank(tc.m)
+		if len(got.Results) != len(ranked) {
+			t.Fatalf("%s: results %d, want %d", tc.method, len(got.Results), len(ranked))
+		}
+		for i, r := range got.Results {
+			w := ranked[i]
+			if r.Target != w.Target.Name || r.GES != w.GES || r.SLOG != w.SLOG || r.Score != w.Score(tc.m) {
+				t.Fatalf("%s: rank %d: got (%s %v %v %v), want (%s %v %v %v)",
+					tc.method, i, r.Target, r.GES, r.SLOG, r.Score, w.Target.Name, w.GES, w.SLOG, w.Score(tc.m))
+			}
+			// S-VCP is on the wire exactly when it was asked for.
+			if tc.m != stats.SVCP {
+				if r.SVCP != nil {
+					t.Fatalf("%s: rank %d carries svcp %v it never computed", tc.method, i, *r.SVCP)
+				}
+			} else if r.SVCP == nil || *r.SVCP != w.SVCP {
+				t.Fatalf("%s: rank %d: svcp %v, want %v", tc.method, i, r.SVCP, w.SVCP)
+			}
+		}
+		if tc.m == stats.Esh && got.Results[0].Target != "checksum_icc" {
+			t.Fatalf("top result %s, want checksum_icc", got.Results[0].Target)
+		}
 	}
 }
 
@@ -167,6 +181,40 @@ func TestQueryBadInput(t *testing.T) {
 		resp := postQuery(t, ts.URL, tc.req)
 		if resp.StatusCode != tc.want {
 			t.Errorf("%+v: status %d, want %d", tc.req, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestPartialMethod checks that /v1/query/partial honours the method:
+// only an svcp request computes S-VCP, and the wire form says so on the
+// partial and on every target.
+func TestPartialMethod(t *testing.T) {
+	_, ts := newTestServer(t, testDB(t), quietConfig(), nil)
+	for _, method := range []string{"", "slog", "svcp", "bogus"} {
+		body, _ := json.Marshal(QueryRequest{Asm: gccStyle, Method: method})
+		resp, err := http.Post(ts.URL+"/v1/query/partial", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if method == "bogus" {
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("bogus method: status %d, want 400", resp.StatusCode)
+			}
+			continue
+		}
+		var pr PartialResponse
+		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		want := method == "svcp"
+		if pr.Partial.HasSVCP != want || len(pr.Partial.Targets) == 0 {
+			t.Fatalf("method %q: has_svcp %t over %d targets, want %t", method, pr.Partial.HasSVCP, len(pr.Partial.Targets), want)
+		}
+		for _, tp := range pr.Partial.Targets {
+			if (tp.SVCP != nil) != want {
+				t.Fatalf("method %q: target %s svcp present=%t", method, tp.Name, tp.SVCP != nil)
+			}
 		}
 	}
 }
@@ -215,7 +263,7 @@ func TestQueryTimeout(t *testing.T) {
 	cfg.QueryTimeout = 20 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
-	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc, _ stats.Method) (*core.Report, error) {
 		<-release
 		return &core.Report{QueryName: p.Name}, nil
 	})
@@ -234,7 +282,7 @@ func TestInFlightLimit(t *testing.T) {
 	cfg.QueryTimeout = 5 * time.Second
 	release := make(chan struct{})
 	started := make(chan struct{}, 8)
-	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc) (*core.Report, error) {
+	_, ts := newTestServer(t, testDB(t), cfg, func(_ context.Context, p *asm.Proc, _ stats.Method) (*core.Report, error) {
 		started <- struct{}{}
 		<-release
 		return &core.Report{QueryName: p.Name}, nil
@@ -390,6 +438,13 @@ func TestQueryTrace(t *testing.T) {
 	}
 	if math.IsNaN(vcpSpan.Attrs["verifier_calls"]) || vcpSpan.Attrs["verifier_calls"] <= 0 {
 		t.Errorf("vcp span missing verifier_calls attr: %v", vcpSpan.Attrs)
+	}
+	if c, ok := vcpSpan.Attrs["gamma_capped"]; !ok || c < 0 || c > vcpSpan.Attrs["verifier_calls"] {
+		t.Errorf("vcp span gamma_capped attr missing or out of range: %v", vcpSpan.Attrs)
+	}
+	// The default method (Esh) never pays for the reverse direction.
+	if r, ok := vcpSpan.Attrs["reverse"]; !ok || r != 0 {
+		t.Errorf("default-method query span reverse=%v (present %t), want 0", r, ok)
 	}
 
 	// Without ?trace=1 the response carries no trace.

@@ -23,6 +23,10 @@ type Partial struct {
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"`
 	SigmoidK   float64        `json:"sigmoid_k"`
+	// HasSVCP reports that the shard ran the reverse VCP direction (the
+	// query asked for method "svcp"), so every target carries its S-VCP
+	// score. Merge refuses partials that disagree on it.
+	HasSVCP bool `json:"has_svcp,omitempty"`
 	// DataGeneration and PendingWrites report live-write drift on the
 	// answering shard: a nonzero value means its corpus no longer
 	// matches the manifest's counts, and Merge refuses rather than
@@ -44,8 +48,9 @@ type TargetPartial struct {
 	Source     asm.Provenance `json:"source"`
 	NumBlocks  int            `json:"num_blocks"`
 	NumStrands int            `json:"num_strands"`
-	SVCP       float64        `json:"svcp"`
-	MaxVCP     []float64      `json:"max_vcp"`
+	// SVCP is present exactly when the partial's HasSVCP is set.
+	SVCP   *float64  `json:"svcp,omitempty"`
+	MaxVCP []float64 `json:"max_vcp"`
 }
 
 // FromQueryPartial converts an engine partial to wire form.
@@ -61,6 +66,7 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 		NumBlocks:      qp.NumBlocks,
 		NumStrands:     qp.NumStrands,
 		SigmoidK:       qp.SigmoidK,
+		HasSVCP:        qp.HasSVCP,
 		Weights:        qp.Weights,
 		Rows:           qp.Rows,
 		Targets:        make([]TargetPartial, len(qp.Targets)),
@@ -71,8 +77,11 @@ func FromQueryPartial(qp *core.QueryPartial, si core.ShardInfo) *Partial {
 			Source:     ps.Target.Source,
 			NumBlocks:  ps.Target.NumBlocks,
 			NumStrands: ps.Target.NumStrands,
-			SVCP:       ps.SVCP,
 			MaxVCP:     ps.MaxVCP,
+		}
+		if qp.HasSVCP {
+			v := ps.SVCP
+			p.Targets[i].SVCP = &v
 		}
 	}
 	return p
@@ -184,16 +193,19 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 	for _, ti := range order {
 		l := at[ti]
 		tp := byShard[l.s].Targets[l.k]
-		targets = append(targets, core.PartialScore{
+		ps := core.PartialScore{
 			Target: &core.Target{
 				Name:       tp.Name,
 				Source:     tp.Source,
 				NumBlocks:  tp.NumBlocks,
 				NumStrands: tp.NumStrands,
 			},
-			SVCP:   tp.SVCP,
 			MaxVCP: tp.MaxVCP,
-		})
+		}
+		if tp.SVCP != nil {
+			ps.SVCP = *tp.SVCP
+		}
+		targets = append(targets, ps)
 	}
 
 	qp := &core.QueryPartial{
@@ -202,6 +214,7 @@ func Merge(man *Manifest, parts []*Partial) (*core.Report, []int, error) {
 		NumBlocks:  first.NumBlocks,
 		NumStrands: first.NumStrands,
 		SigmoidK:   first.SigmoidK,
+		HasSVCP:    first.HasSVCP,
 		Weights:    first.Weights,
 		Rows:       rows,
 		Targets:    targets,
@@ -223,6 +236,10 @@ func checkPartial(man *Manifest, first, p *Partial) error {
 	}
 	if p.SigmoidK != man.SigmoidK {
 		return fmt.Errorf("shard: merge: shard %d ran sigmoid k=%g, manifest says %g", s, p.SigmoidK, man.SigmoidK)
+	}
+	if p.HasSVCP != first.HasSVCP {
+		return fmt.Errorf("shard: merge: shard %d computed S-VCP=%t, shard %d S-VCP=%t; every shard must answer the same method",
+			s, p.HasSVCP, first.ShardID, first.HasSVCP)
 	}
 	if p.QueryName != first.QueryName || p.NumStrands != first.NumStrands || len(p.Weights) != len(first.Weights) {
 		return fmt.Errorf("shard: merge: shard %d answered a different query (%q, %d strands) than shard %d (%q, %d strands)",
@@ -247,6 +264,9 @@ func checkPartial(man *Manifest, first, p *Partial) error {
 	for k, tp := range p.Targets {
 		if len(tp.MaxVCP) != len(p.Weights) {
 			return fmt.Errorf("shard: merge: shard %d target %d has %d max-VCP entries for %d query strands", s, k, len(tp.MaxVCP), len(p.Weights))
+		}
+		if (tp.SVCP != nil) != p.HasSVCP {
+			return fmt.Errorf("shard: merge: shard %d target %d carries S-VCP=%t, partial says %t", s, k, tp.SVCP != nil, p.HasSVCP)
 		}
 	}
 	return nil

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/index"
+	"repro/internal/stats"
 	"repro/internal/vcp"
 )
 
@@ -95,18 +96,18 @@ func buildSmallDB(t *testing.T) *core.DB {
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
-// scatterQuery runs the query through every shard DB and merges —
-// optionally round-tripping each partial through its JSON wire form, so
+// scatterQuery runs the query under method m through every shard DB and
+// merges — round-tripping each partial through its JSON wire form, so
 // the test proves the serialized path (what eshgw actually sees) loses
 // no bits.
-func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop int) (*core.Report, []int) {
+func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop int, m stats.Method) (*core.Report, []int) {
 	t.Helper()
 	var parts []*Partial
 	for s, db := range dbs {
 		if s == drop {
 			continue
 		}
-		qp, err := db.PartialQueryCtx(context.Background(), q)
+		qp, err := db.PartialQueryCtx(context.Background(), q, m)
 		if err != nil {
 			t.Fatalf("shard %d partial query: %v", s, err)
 		}
@@ -128,11 +129,15 @@ func scatterQuery(t *testing.T, man *Manifest, dbs []*core.DB, q *asm.Proc, drop
 	return rep, missing
 }
 
-// requireIdentical asserts rankings AND raw scores are bit-identical.
+// requireIdentical asserts rankings AND raw scores are bit-identical,
+// S-VCP included whenever the reports computed it.
 func requireIdentical(t *testing.T, want, got *core.Report, label string) {
 	t.Helper()
 	if len(want.Results) != len(got.Results) {
 		t.Fatalf("%s: %d results, want %d", label, len(got.Results), len(want.Results))
+	}
+	if got.HasSVCP != want.HasSVCP {
+		t.Fatalf("%s: HasSVCP %t, want %t", label, got.HasSVCP, want.HasSVCP)
 	}
 	if got.NumStrands != want.NumStrands || got.NumBlocks != want.NumBlocks {
 		t.Fatalf("%s: query shape %d/%d, want %d/%d", label, got.NumStrands, got.NumBlocks, want.NumStrands, want.NumBlocks)
@@ -228,17 +233,19 @@ func TestMergeDifferential(t *testing.T) {
 	}
 	for _, qsrc := range []string{gccStyle, memStyle} {
 		q := parse(t, qsrc)
-		want, err := single.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range []int{1, 2, 4} {
-			man, dbs := splitDBs(t, ex, n)
-			got, missing := scatterQuery(t, man, dbs, q, -1)
-			if len(missing) != 0 {
-				t.Fatalf("n=%d: unexpected missing shards %v", n, missing)
+		for _, m := range []stats.Method{stats.Esh, stats.SVCP} {
+			want, err := single.QueryCtx(context.Background(), q, m)
+			if err != nil {
+				t.Fatal(err)
 			}
-			requireIdentical(t, want, got, q.Name)
+			for _, n := range []int{1, 2, 4} {
+				man, dbs := splitDBs(t, ex, n)
+				got, missing := scatterQuery(t, man, dbs, q, -1, m)
+				if len(missing) != 0 {
+					t.Fatalf("n=%d: unexpected missing shards %v", n, missing)
+				}
+				requireIdentical(t, want, got, fmt.Sprintf("%s/%v", q.Name, m))
+			}
 		}
 	}
 }
@@ -262,7 +269,7 @@ func TestMergeMissingShard(t *testing.T) {
 		if len(man.Shards[drop].Targets) == len(ex.Targets) {
 			continue // dropping it would leave no responders' targets... still valid, skip for assert simplicity
 		}
-		rep, missing := scatterQuery(t, man, dbs, q, drop)
+		rep, missing := scatterQuery(t, man, dbs, q, drop, stats.SVCP)
 		if len(missing) != 1 || missing[0] != drop {
 			t.Fatalf("drop=%d: missing=%v", drop, missing)
 		}
@@ -288,11 +295,35 @@ func TestMergeRejectsMixedFleet(t *testing.T) {
 	q := parse(t, gccStyle)
 	var parts []*Partial
 	for _, db := range dbs {
-		qp, err := db.PartialQueryCtx(context.Background(), q)
+		qp, err := db.PartialQueryCtx(context.Background(), q, stats.Esh)
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts = append(parts, FromQueryPartial(qp, db.Shard()))
+	}
+	// A shard that answered a different method: S-VCP on one shard only
+	// would leave the other shard's targets without the score.
+	k := 0
+	if len(man.Shards[k].Targets) == 0 {
+		k = 1
+	}
+	qp, err := dbs[k].PartialQueryCtx(context.Background(), q, stats.SVCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eshK := parts[k]
+	parts[k] = FromQueryPartial(qp, dbs[k].Shard())
+	if _, _, err := Merge(man, parts); err == nil {
+		t.Fatal("merge accepted partials that disagree on S-VCP")
+	}
+	// A partial whose flag and target rows disagree is refused too.
+	parts[k].HasSVCP = false
+	if _, _, err := Merge(man, parts); err == nil {
+		t.Fatal("merge accepted S-VCP rows on a partial without the flag")
+	}
+	parts[k] = eshK
+	if _, _, err := Merge(man, parts); err != nil {
+		t.Fatalf("merge of agreeing Esh partials: %v", err)
 	}
 	parts[1].Generation = "deadbeefdeadbeef"
 	if _, _, err := Merge(man, parts); err == nil {
@@ -395,13 +426,13 @@ func TestSaveShardsDifferential(t *testing.T) {
 				t.Fatalf("n=%d shard %d: %v", n, s, err)
 			}
 		}
-		got, missing := scatterQuery(t, man, dbs, q, -1)
+		got, missing := scatterQuery(t, man, dbs, q, -1, stats.SVCP)
 		if len(missing) != 0 {
 			t.Fatalf("n=%d: missing %v", n, missing)
 		}
 		requireIdentical(t, want, got, q.Name)
 		if n > 1 {
-			got, missing = scatterQuery(t, man, dbs, q, 0)
+			got, missing = scatterQuery(t, man, dbs, q, 0, stats.Esh)
 			if len(missing) != 1 || missing[0] != 0 {
 				t.Fatalf("n=%d: degraded merge missing=%v", n, missing)
 			}

@@ -17,17 +17,26 @@ func FormatQuantile(q float64) string { return strconv.FormatFloat(q, 'g', -1, 6
 // (Jain & Chlamtac, 1985). Unlike the cumulative histograms, which bucket
 // into fixed bounds chosen up front, the markers adapt to the observed
 // distribution, so the estimates stay meaningful whether a query takes
-// 200µs or 20s. Observe takes a mutex — quantile updates are a few
-// dozen float ops per call, far off the per-pair hot path, and the
-// estimator is only fed once per completed query.
+// 200µs or 20s. Five markers cannot see a tail in a short stream (with
+// samples 1..19 plus one 1000, P² reads p99 as 17), so the first
+// exactQuantileN observations are also kept raw and answered by exact
+// nearest rank; the readout hands over to P² once that many have
+// arrived. Observe takes a mutex — quantile updates are a few dozen
+// float ops per call, far off the per-pair hot path, and the estimator
+// is only fed once per completed query.
 type Quantiles struct {
 	mu   sync.Mutex
 	qs   []float64
 	est  []p2
+	raw  []float64 // every observation while n < exactQuantileN, then nil
 	n    uint64
 	max  float64
 	seen bool
 }
+
+// exactQuantileN is the stream length below which Quantiles answers by
+// exact nearest rank over the raw observations instead of P².
+const exactQuantileN = 64
 
 // NewQuantiles returns an estimator tracking the given quantiles (each
 // in (0, 1), e.g. 0.5, 0.95, 0.99).
@@ -46,6 +55,11 @@ func (e *Quantiles) Observe(v float64) {
 	if !e.seen || v > e.max {
 		e.max, e.seen = v, true
 	}
+	if e.n < exactQuantileN {
+		e.raw = append(e.raw, v)
+	} else {
+		e.raw = nil
+	}
 	for i := range e.est {
 		e.est[i].observe(v)
 	}
@@ -59,11 +73,27 @@ func (e *Quantiles) Quantile(q float64) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, p := range e.qs {
-		if p == q {
-			return e.est[i].quantile()
+		if p != q {
+			continue
 		}
+		switch {
+		case e.n == 0:
+			return math.NaN()
+		case e.n < exactQuantileN:
+			return nearestRank(e.raw, p)
+		}
+		return e.est[i].q[2]
 	}
 	return math.NaN()
+}
+
+// nearestRank returns the exact nearest-rank p-quantile of the samples:
+// the smallest value with at least p of the samples at or below it.
+func nearestRank(samples []float64, p float64) float64 {
+	s := append([]float64(nil), samples...)
+	sort.Float64s(s)
+	i := int(math.Ceil(p*float64(len(s)))) - 1
+	return s[max(0, min(i, len(s)-1))]
 }
 
 // Count returns the number of observations so far.
@@ -84,8 +114,8 @@ func (e *Quantiles) Max() float64 {
 }
 
 // p2 is one P² marker set: five marker heights q whose positions n chase
-// the desired positions np; the middle marker's height estimates the
-// p-quantile once five observations have arrived.
+// the desired positions np; the middle marker's height q[2] estimates
+// the p-quantile (read only once exactQuantileN observations arrived).
 type p2 struct {
 	p   float64
 	cnt int
@@ -166,26 +196,4 @@ func (e *p2) parabolic(i int, s float64) float64 {
 func (e *p2) linear(i int, s float64) float64 {
 	j := i + int(s)
 	return e.q[i] + s*(e.q[j]-e.q[i])/(e.n[j]-e.n[i])
-}
-
-// quantile returns the current estimate: the middle marker height once
-// the markers are live, the exact sample quantile while fewer than five
-// observations have arrived, NaN before any.
-func (e *p2) quantile() float64 {
-	if e.cnt == 0 {
-		return math.NaN()
-	}
-	if e.cnt < 5 {
-		s := append([]float64(nil), e.q[:e.cnt]...)
-		sort.Float64s(s)
-		i := int(math.Ceil(e.p*float64(e.cnt))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= e.cnt {
-			i = e.cnt - 1
-		}
-		return s[i]
-	}
-	return e.q[2]
 }

@@ -92,6 +92,40 @@ func TestQuantileSmallStreams(t *testing.T) {
 	}
 }
 
+// TestQuantileSmallStreamTail checks the small-n readout: a stream of
+// samples 1..n-1 plus one 1000 has nearest-rank p99 = 1000, which five
+// P² markers miss entirely, and p50 is the exact nearest-rank median.
+// The readout stays exact up to the P² handover and stays bounded by
+// the sample range after it.
+func TestQuantileSmallStreamTail(t *testing.T) {
+	for _, n := range []int{5, 20, exactQuantileN - 1} {
+		q := NewQuantiles(0.5, 0.95, 0.99)
+		var data []float64
+		for i := 1; i < n; i++ {
+			q.Observe(float64(i))
+			data = append(data, float64(i))
+		}
+		q.Observe(1000)
+		data = append(data, 1000)
+		sort.Float64s(data)
+		if got := q.Quantile(0.99); got != 1000 {
+			t.Errorf("n=%d: p99 = %g, want 1000", n, got)
+		}
+		for _, p := range []float64{0.5, 0.95} {
+			if got, want := q.Quantile(p), trueQuantile(data, p); got != want {
+				t.Errorf("n=%d: p%g = %g, nearest rank %g", n, p*100, got, want)
+			}
+		}
+	}
+	q := NewQuantiles(0.5, 0.99)
+	for i := 0; i < 4*exactQuantileN; i++ {
+		q.Observe(float64(i % 10))
+		if got := q.Quantile(0.99); got < 0 || got > 9 {
+			t.Fatalf("after %d observations p99 = %g, outside the sample range", i+1, got)
+		}
+	}
+}
+
 func TestQuantileMonotoneAcrossTargets(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	q := NewQuantiles(0.5, 0.95, 0.99)

@@ -274,12 +274,15 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // enumeration itself, and fpSet matching, so the metric built on it
 // does not overcount. Batches counts kernel flushes and BatchRows the
 // correspondences they carried; BatchRows/(GammaBatch·Batches) is the
-// mean batch occupancy.
+// mean batch occupancy. Capped reports that the enumeration stopped at
+// MaxCorrespondences without a perfect match, so the returned VCP is a
+// lower bound of the uncapped search.
 type Stats struct {
 	Correspondences int
 	KernelNanos     int64
 	Batches         int64
 	BatchRows       int64
+	Capped          bool
 }
 
 // Compute returns VCP(q, t): the maximal fraction of q's variables with
@@ -424,6 +427,7 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 		}
 		rec(0)
 		st.Correspondences = tried
+		st.Capped = best < 1.0 && tried >= cfg.MaxCorrespondences
 		return best, st
 	}
 
@@ -482,5 +486,6 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	rec(0)
 	flush() // partial final batch
 	st.Correspondences = tried
+	st.Capped = best < 1.0 && tried >= cfg.MaxCorrespondences
 	return best, st
 }
