@@ -14,8 +14,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -333,62 +331,42 @@ func BenchmarkFingerprints(b *testing.B) {
 // BenchmarkQuery measures one full query against a small database (the
 // end-to-end figure the paper reports as ~3 minutes per pair on their
 // 8-core machine; see EXPERIMENTS.md for our full-scale timing). The
-// prefilter=off/lsh sub-benchmarks share everything but the sketch
-// prefilter; the reported verifier-calls/op metric is the work the
-// sound injectability core saves (cumulative calls over all iterations
-// divided by N — the VCP memo cache makes iterations after the first
-// nearly call-free, so compare modes at equal -benchtime).
-// Set ESH_BENCH_GAMMA to sweep the γ-batch width without changing the
-// sub-benchmark names (so baseline comparisons line up across widths);
-// unset, the default width applies.
+// reported verifier-calls/op metric is cumulative calls over all
+// iterations divided by N — the VCP memo cache makes iterations after
+// the first nearly call-free, so compare runs at equal -benchtime.
 func BenchmarkQuery(b *testing.B) {
 	prog := minic.MustParse(microSrc)
 	q := microProc(b, "clang-3.5")
-	gammaW := 0
-	if s := os.Getenv("ESH_BENCH_GAMMA"); s != "" {
-		w, err := strconv.Atoi(s)
+	db := core.NewDB(core.Options{})
+	for _, tc := range compile.Toolchains() {
+		p, err := compile.Compile(prog, "bench_fn", tc, compile.O2())
 		if err != nil {
-			b.Fatalf("ESH_BENCH_GAMMA=%q: %v", s, err)
+			b.Fatal(err)
 		}
-		gammaW = w
+		p.Name = "bench_fn@" + tc.Name()
+		if err := db.AddTarget(p); err != nil {
+			b.Fatal(err)
+		}
 	}
-	for _, mode := range []string{core.PrefilterOff, core.PrefilterLSH} {
-		b.Run("prefilter="+mode, func(b *testing.B) {
-			opts := core.Options{Prefilter: mode}
-			opts.VCP.GammaBatch = gammaW
-			db := core.NewDB(opts)
-			for _, tc := range compile.Toolchains() {
-				p, err := compile.Compile(prog, "bench_fn", tc, compile.O2())
-				if err != nil {
-					b.Fatal(err)
-				}
-				p.Name = "bench_fn@" + tc.Name()
-				if err := db.AddTarget(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(db.Stats().VerifierCalls)/float64(b.N), "verifier-calls/op")
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(q); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(db.Stats().VerifierCalls)/float64(b.N), "verifier-calls/op")
 }
 
-// BenchmarkQueryScale measures how query cost scales with corpus size
-// under both retrieval modes. The corpus grows 1x/4x/8x in procedure
-// count via synthetic decoy packages; both modes run the same heuristic
-// prefilter settings (LSH 12x6, suggested containment threshold) so the
-// only difference is stage 3's loop shape: the scan walks every target
-// strand per query strand, the probe looks up band buckets in the
-// retrieval table. The verifier-calls/op and cands/probe metrics are
-// the scaling story — scan work grows with the corpus, probe work
-// tracks the candidate sets, which banding keeps flat. Recorded in
-// BENCH_retrieval.json; CI's scale-smoke asserts the shape cheaply.
+// BenchmarkQueryScale measures how the band-collision tier's query cost
+// scales with corpus size (LSH 12x6). The corpus grows 1x/4x/8x in
+// procedure count via synthetic decoy packages; stage 3 looks up band
+// buckets in the retrieval table instead of walking every target
+// strand. The verifier-calls/op and cands/probe metrics are the scaling
+// story — work tracks the candidate sets, which banding keeps flat.
+// The sub-benchmarks keep their retrieval=probe names so the curve
+// lines up with the one recorded in BENCH_retrieval.json; CI's
+// scale-smoke asserts the shape cheaply.
 func BenchmarkQueryScale(b *testing.B) {
 	var tcs []compile.Toolchain
 	for _, n := range []string{"gcc-4.9", "clang-3.5"} {
@@ -411,44 +389,40 @@ func BenchmarkQueryScale(b *testing.B) {
 		name  string
 		synth int
 	}{{"1x", 0}, {"4x", 85}, {"8x", 198}}
-	for _, mode := range []string{core.RetrievalScan, core.RetrievalProbe} {
-		for _, sc := range scales {
-			b.Run("retrieval="+mode+"/scale="+sc.name, func(b *testing.B) {
-				procs, err := corpus.Build(corpus.BuildConfig{
-					Toolchains:    tcs,
-					SynthVariants: sc.synth,
-				})
-				if err != nil {
+	for _, sc := range scales {
+		b.Run("retrieval=probe/scale="+sc.name, func(b *testing.B) {
+			procs, err := corpus.Build(corpus.BuildConfig{
+				Toolchains:    tcs,
+				SynthVariants: sc.synth,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			db := core.NewDB(core.Options{
+				LSHBands:          12,
+				LSHRows:           6,
+				LSHMinContainment: sketch.SuggestedMinContainment,
+			})
+			for _, p := range procs {
+				if err := db.AddTarget(p); err != nil {
 					b.Fatal(err)
 				}
-				db := core.NewDB(core.Options{
-					Retrieval:         mode,
-					Prefilter:         core.PrefilterLSH,
-					LSHBands:          12,
-					LSHRows:           6,
-					LSHMinContainment: sketch.SuggestedMinContainment,
-				})
-				for _, p := range procs {
-					if err := db.AddTarget(p); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(q); err != nil {
+					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := db.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				st := db.Stats()
-				b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
-				if st.RetrievalProbes > 0 {
-					b.ReportMetric(float64(st.RetrievalCandidates)/float64(st.RetrievalProbes), "cands/probe")
-				}
-				b.ReportMetric(float64(db.NumTargets()), "targets")
-				b.ReportMetric(float64(db.NumUniqueStrands()), "strands")
-			})
-		}
+			}
+			b.StopTimer()
+			st := db.Stats()
+			b.ReportMetric(float64(st.VerifierCalls)/float64(b.N), "verifier-calls/op")
+			if st.RetrievalProbes > 0 {
+				b.ReportMetric(float64(st.RetrievalCandidates)/float64(st.RetrievalProbes), "cands/probe")
+			}
+			b.ReportMetric(float64(db.NumTargets()), "targets")
+			b.ReportMetric(float64(db.NumUniqueStrands()), "strands")
+		})
 	}
 }
 
@@ -469,7 +443,6 @@ func BenchmarkRecorder(b *testing.B) {
 		spVCP.SetAttr("pairs", 128)
 		spVCP.SetAttr("pairs_pruned", 64)
 		spVCP.SetAttr("verifier_calls", 900)
-		spVCP.SetAttr("kernel_batch", 1)
 		spVCP.End()
 		_, spStats := telemetry.StartSpan(ctx, "stats")
 		spStats.End()

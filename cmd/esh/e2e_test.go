@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -15,9 +16,9 @@ import (
 // committed golden byte for byte. The corpus, toolchains, and engine
 // are all deterministic, so any diff is a behavior change — bump the
 // golden deliberately (UPDATE_GOLDEN=1 go test ./cmd/esh) when one is
-// intended. The same query is then repeated with -prefilter=off, which
-// must print the identical ranking: the CLI-level form of the
-// prefilter's soundness guarantee.
+// intended. The retired engine-mode flags (-prefilter, -kernel,
+// -gamma-batch, -retrieval) must be rejected at startup by the flag
+// parser rather than silently accepted.
 func TestCLIGoldenQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries and indexes a corpus")
@@ -83,16 +84,10 @@ func TestCLIGoldenQuery(t *testing.T) {
 		t.Errorf("CLI output diverges from golden %s:\n--- got ---\n%s--- want ---\n%s", goldenPath, got, want)
 	}
 
-	off := run("-load", snap, "-query", queryPath, "-top", "10", "-prefilter", "off")
-	if off != got {
-		t.Errorf("-prefilter=off output differs from the default lsh run:\n--- off ---\n%s--- lsh ---\n%s", off, got)
-	}
-
-	// The same query through the scalar reference kernel: the batched
-	// SoA kernel's fingerprints are byte-identical by contract, so the
-	// printed ranking must be too.
-	scalar := run("-load", snap, "-query", queryPath, "-top", "10", "-kernel", "scalar")
-	if scalar != got {
-		t.Errorf("-kernel=scalar output differs from the default batch run:\n--- scalar ---\n%s--- batch ---\n%s", scalar, got)
+	for _, retired := range [][]string{{"-prefilter", "off"}, {"-kernel", "scalar"}, {"-gamma-batch", "1"}, {"-retrieval", "probe"}} {
+		out, err := exec.Command(eshBin, append(retired, "-load", snap, "-query", queryPath)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "flag provided but not defined") {
+			t.Errorf("esh %s was not rejected at startup (err %v):\n%s", retired[0], err, out)
+		}
 	}
 }

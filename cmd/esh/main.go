@@ -7,7 +7,8 @@
 //
 // Usage:
 //
-//	esh -query q.s [-load corpus.eshidx] [dir-or-file.s ...] [-top 20] [-method esh]
+//	esh -query q.s [-load corpus.eshidx] [-top 20] [-method esh]
+//	    [-lsh-min-containment 0] [dir-or-file.s ...]
 //
 // Files hold procedures in the Intel-like assembler syntax of
 // internal/asm (see Proc.String); a file may contain many procedures.
@@ -15,6 +16,11 @@
 // corpus instead of reading files. With -load, the target database is
 // restored from a strand index snapshot written by eshcorpus -save, so
 // the corpus is not re-indexed on every invocation.
+//
+// Stage 3 runs one exact path. The only option that trades ranking
+// fidelity for speed is -lsh-min-containment: any value above 0 takes
+// each query strand's candidates from the LSH band-collision table
+// instead of walking every target strand.
 package main
 
 import (
@@ -45,31 +51,10 @@ func main() {
 	sigmoidK := flag.Float64("sigmoid-k", 0, "Esh sigmoid steepness (0 = paper's k=10)")
 	timings := flag.Bool("timings", false, "print a per-stage timing and work breakdown to stderr")
 	repeat := flag.Int("repeat", 1, "run the query this many times and print a p50/p95/p99 latency summary with -timings (results print once)")
-	prefilter := flag.String("prefilter", "lsh", "candidate prefilter for the VCP pair loop: off or lsh")
-	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch prefilter (0 = default)")
-	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = default)")
-	lshMinCont := flag.Float64("lsh-min-containment", 0, "enable the heuristic prefilter tier at this estimated-containment threshold (0 = sound tier only; rankings can change when set)")
-	kernel := flag.String("kernel", "", "evaluation kernel for the verifier γ loop: batch or scalar (empty = batch; rankings are identical)")
-	gammaBatch := flag.Int("gamma-batch", 0, "γ-batch width of the batched kernel: correspondences evaluated per kernel dispatch (0 = default 8; rankings are identical at any width)")
-	retrieval := flag.String("retrieval", "scan", "stage-3 candidate retrieval: scan or probe (rankings are identical at sound settings)")
+	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch signature (0 = default)")
+	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch signature (0 = default)")
+	lshMinCont := flag.Float64("lsh-min-containment", 0, "any value > 0 takes stage-3 candidates from the LSH band-collision table (faster; rankings can change); 0 = exact")
 	flag.Parse()
-
-	prefMode, err := core.NormalizePrefilter(*prefilter)
-	if err != nil {
-		fail("%v", err)
-	}
-	kernMode, err := core.NormalizeKernel(*kernel)
-	if err != nil {
-		fail("%v", err)
-	}
-	gammaW, err := core.NormalizeGammaBatch(*gammaBatch)
-	if err != nil {
-		fail("%v", err)
-	}
-	retrMode, err := core.NormalizeRetrieval(*retrieval)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	var m stats.Method
 	switch *method {
@@ -97,33 +82,17 @@ func main() {
 		if *pathLen != 0 || *sigmoidK != 0 {
 			fmt.Fprintln(os.Stderr, "esh: -pathlen and -sigmoid-k are fixed at index time; the snapshot's values apply under -load")
 		}
-		if err := loaded.ConfigurePrefilter(prefMode, *lshBands, *lshRows, *lshMinCont); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureKernel(kernMode); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureGammaBatch(gammaW); err != nil {
-			fail("%v", err)
-		}
-		if err := loaded.ConfigureRetrieval(retrMode); err != nil {
-			fail("%v", err)
-		}
+		loaded.ConfigurePrefilter(*lshBands, *lshRows, *lshMinCont)
 		db = loaded
 	} else {
-		opts := core.Options{
+		db = core.NewDB(core.Options{
 			Workers:           *workers,
 			PathLen:           *pathLen,
 			SigmoidK:          *sigmoidK,
-			Prefilter:         prefMode,
 			LSHBands:          *lshBands,
 			LSHRows:           *lshRows,
 			LSHMinContainment: *lshMinCont,
-			Retrieval:         retrMode,
-		}
-		opts.VCP.Kernel = kernMode
-		opts.VCP.GammaBatch = gammaW
-		db = core.NewDB(opts)
+		})
 	}
 	var query *asm.Proc
 

@@ -38,33 +38,12 @@ func main() {
 	synth := flag.Int("synth", 40, "number of generated decoy packages")
 	pathLen := flag.Int("pathlen", 0, "with -save: decompose small procedures over control-flow paths of this many blocks (0 = off)")
 	sigmoidK := flag.Float64("sigmoid-k", 0, "with -save: Esh sigmoid steepness baked into the snapshot (0 = paper's k=10)")
-	prefilter := flag.String("prefilter", "lsh", "with -save: prefilter mode baked into the snapshot (off or lsh; serve-time flags can override)")
-	lshBands := flag.Int("lsh-bands", 0, "with -save: LSH bands of the sketch prefilter (0 = default)")
+	lshBands := flag.Int("lsh-bands", 0, "with -save: LSH bands of the sketch signature (0 = default)")
 	lshRows := flag.Int("lsh-rows", 0, "with -save: LSH rows per band (0 = default)")
-	lshMinCont := flag.Float64("lsh-min-containment", 0, "with -save: heuristic prefilter tier threshold baked into the snapshot (0 = sound tier only)")
-	kernel := flag.String("kernel", "", "with -save: evaluation kernel baked into the snapshot: batch or scalar (empty = batch; serve-time flags can override)")
-	gammaBatch := flag.Int("gamma-batch", 0, "with -save: γ-batch width baked into the snapshot (0 = default 8; serve-time flags can override)")
-	retrieval := flag.String("retrieval", "scan", "with -save: stage-3 candidate retrieval baked into the snapshot: scan or probe (serve-time flags can override)")
+	lshMinCont := flag.Float64("lsh-min-containment", 0, "with -save: any value > 0 bakes the LSH band-collision tier into the snapshot, with its retrieval table (0 = exact; serve-time flags can override)")
 	saveShards := flag.Int("save-shards", 0, "with -save: also split the index into this many shard snapshots plus a manifest at <save>.manifest (serve each shard with eshd, coordinate with eshgw)")
 	walPath := flag.String("wal", "", "with -save: fold this write-ahead log (from eshd -wal) into the snapshot before saving")
 	flag.Parse()
-
-	prefMode, err := core.NormalizePrefilter(*prefilter)
-	if err != nil {
-		fail("%v", err)
-	}
-	kernMode, err := core.NormalizeKernel(*kernel)
-	if err != nil {
-		fail("%v", err)
-	}
-	gammaW, err := core.NormalizeGammaBatch(*gammaBatch)
-	if err != nil {
-		fail("%v", err)
-	}
-	retrMode, err := core.NormalizeRetrieval(*retrieval)
-	if err != nil {
-		fail("%v", err)
-	}
 
 	// Scales match the experiments package: small = one toolchain per
 	// vendor, medium = five, full = all seven.
@@ -122,18 +101,13 @@ func main() {
 
 	if *save != "" {
 		start := time.Now()
-		opts := core.Options{
+		db := core.NewDB(core.Options{
 			PathLen:           *pathLen,
 			SigmoidK:          *sigmoidK,
-			Prefilter:         prefMode,
 			LSHBands:          *lshBands,
 			LSHRows:           *lshRows,
 			LSHMinContainment: *lshMinCont,
-			Retrieval:         retrMode,
-		}
-		opts.VCP.Kernel = kernMode
-		opts.VCP.GammaBatch = gammaW
-		db := core.NewDB(opts)
+		})
 		for _, p := range procs {
 			if err := db.AddTarget(p); err != nil {
 				fail("index %s: %v", p.Name, err)
@@ -167,16 +141,19 @@ func main() {
 			fmt.Printf("folded %d WAL records (high-water mark %d) from %s\n",
 				len(recs), db.WALSeq(), *walPath)
 		}
-		// Build the retrieval table before saving so the snapshot carries
-		// it (format v4) and serve-time probe mode skips the rebuild.
-		rstats := db.RetrievalIndex().Stats()
+		// With the band-collision tier on, build the retrieval table before
+		// saving so the snapshot carries it (format v4) and a daemon
+		// serving it skips the rebuild.
+		if *lshMinCont > 0 {
+			rs := db.RetrievalIndex().Stats()
+			fmt.Printf("retrieval table: %d buckets over %d bands (%d rows), postings max %d mean %.2f skew %.2f, checksum %016x\n",
+				rs.Buckets, rs.Bands, rs.Rows, rs.MaxPosting, rs.MeanPosting, rs.Skew, rs.Checksum)
+		}
 		if err := index.SaveFile(*save, db); err != nil {
 			fail("%v", err)
 		}
 		fmt.Printf("indexed %d procedures (%d unique strands) in %s; snapshot saved to %s\n",
 			db.NumTargets(), db.NumUniqueStrands(), time.Since(start).Round(time.Millisecond), *save)
-		fmt.Printf("retrieval table: %d buckets over %d bands (%d rows), postings max %d mean %.2f skew %.2f, %d small-strand entries, checksum %016x\n",
-			rstats.Buckets, rstats.Bands, rstats.Rows, rstats.MaxPosting, rstats.MeanPosting, rstats.Skew, rstats.Small, rstats.Checksum)
 		if *saveShards > 0 {
 			manifest := *save + ".manifest"
 			man, err := shard.SaveShards(manifest, db.Export(), *saveShards)

@@ -11,6 +11,7 @@
 //	     [-slow-query-threshold 1s] [-recorder-size 512]
 //	     [-wal corpus.wal] [-fsync always|none]
 //	     [-compact-interval 0] [-compact-pending 0]
+//	     [-lsh-bands 0] [-lsh-rows 0] [-lsh-min-containment -1]
 //
 // Endpoints:
 //
@@ -41,6 +42,12 @@
 // folds the accumulated writes into a new snapshot generation at
 // -index, atomically rewrites the WAL down to its tail, and keeps
 // serving queries throughout.
+//
+// Stage 3 runs one exact path. The only option that trades ranking
+// fidelity for speed is -lsh-min-containment: any value above 0 takes
+// each query strand's candidates from the LSH band-collision table
+// (built before the daemon reports ready) instead of walking every
+// target strand.
 //
 // With -pprof-addr, net/http/pprof profiling endpoints are served on a
 // separate (normally loopback-only) listener, so profiles are never
@@ -84,13 +91,9 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 	slowThreshold := flag.Duration("slow-query-threshold", time.Second, "queries at or above this duration keep their span tree in /debug/slow (negative = disabled)")
 	recorderSize := flag.Int("recorder-size", 0, "flight-recorder ring size (0 = default 512)")
-	prefilter := flag.String("prefilter", "", "candidate prefilter for the VCP pair loop: off or lsh (empty = snapshot's setting)")
-	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch prefilter (0 = snapshot's geometry)")
-	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch prefilter (0 = snapshot's geometry)")
-	lshMinCont := flag.Float64("lsh-min-containment", -1, "heuristic prefilter tier threshold (0 = sound tier only, -1 = snapshot's setting; rankings can change when > 0)")
-	kernel := flag.String("kernel", "", "evaluation kernel for the verifier γ loop: batch or scalar (empty = snapshot's setting; rankings are identical)")
-	gammaBatch := flag.Int("gamma-batch", 0, "γ-batch width of the batched kernel: correspondences per kernel dispatch (0 = snapshot's setting; rankings are identical at any width)")
-	retrieval := flag.String("retrieval", "", "stage-3 candidate retrieval: scan or probe (empty = snapshot's setting; rankings are identical at sound settings)")
+	lshBands := flag.Int("lsh-bands", 0, "LSH bands of the sketch signature (0 = snapshot's geometry)")
+	lshRows := flag.Int("lsh-rows", 0, "LSH rows per band of the sketch signature (0 = snapshot's geometry)")
+	lshMinCont := flag.Float64("lsh-min-containment", -1, "any value > 0 takes stage-3 candidates from the LSH band-collision table (faster; rankings can change); 0 = exact, -1 = snapshot's setting")
 	walPath := flag.String("wal", "", "write-ahead log path; enables the live write endpoints (empty = read-only serving)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy: always (acknowledged writes survive power loss) or none (survive process crash only)")
 	compactInterval := flag.Duration("compact-interval", 0, "with -wal: compact this often when writes are pending (0 = no timer)")
@@ -118,34 +121,7 @@ func main() {
 		fail("%v", err)
 	}
 	db.SetWorkers(*workers)
-	mode := *prefilter
-	if mode == "" {
-		mode = db.Options().Prefilter // keep the snapshot's setting
-	}
-	if err := db.ConfigurePrefilter(mode, *lshBands, *lshRows, *lshMinCont); err != nil {
-		fail("%v", err)
-	}
-	kernMode := *kernel
-	if kernMode == "" {
-		kernMode = db.Options().VCP.Kernel // keep the snapshot's setting
-	}
-	if err := db.ConfigureKernel(kernMode); err != nil {
-		fail("%v", err)
-	}
-	gammaW := *gammaBatch
-	if gammaW == 0 {
-		gammaW = db.Options().VCP.GammaBatch // keep the snapshot's setting
-	}
-	if err := db.ConfigureGammaBatch(gammaW); err != nil {
-		fail("%v", err)
-	}
-	retrMode := *retrieval
-	if retrMode == "" {
-		retrMode = db.Options().Retrieval // keep the snapshot's setting
-	}
-	if err := db.ConfigureRetrieval(retrMode); err != nil {
-		fail("%v", err)
-	}
+	db.ConfigurePrefilter(*lshBands, *lshRows, *lshMinCont)
 
 	// With -wal, recover the log, replay any records newer than the
 	// snapshot's high-water mark, and journal all future writes.
@@ -195,12 +171,9 @@ func main() {
 		"targets", st.Targets,
 		"unique_strands", st.UniqueStrands,
 		"total_strands", st.TotalStrands,
-		"prefilter", st.Prefilter,
 		"lsh_bands", st.LSHBands,
 		"lsh_rows", st.LSHRows,
-		"kernel", st.Kernel,
-		"gamma_batch", st.GammaBatch,
-		"retrieval", st.Retrieval,
+		"lsh_min_containment", st.LSHMinContainment,
 		"snapshot_version", info.Version,
 		"checksum", info.Checksum,
 		"load_ms", loadSpan.Duration().Milliseconds(),

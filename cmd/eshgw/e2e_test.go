@@ -25,13 +25,6 @@ import (
 // bytes — must be identical to a single eshd serving the union
 // snapshot. Then one shard is killed and the gateway must keep
 // answering 200 with the partial flag and the dead shard listed.
-//
-// The corpus is indexed with -retrieval=probe, so the whole fleet —
-// union node and both shards — serves with probe-mode stage 3 and the
-// manifest records the mode; at the snapshot's sound settings the
-// byte-identity assertion below is also the probe-vs-scan guarantee,
-// because the single node's rows were already proven identical to
-// scan mode by TestRetrievalDifferential.
 func TestClusterE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries, indexes a corpus, and runs a process-level cluster")
@@ -49,7 +42,7 @@ func TestClusterE2E(t *testing.T) {
 
 	snap := filepath.Join(dir, "corpus.eshidx")
 	if out, err := exec.Command(bins["eshcorpus"], "-save", snap, "-save-shards", "2",
-		"-scale", "small", "-synth", "0", "-retrieval", "probe").CombinedOutput(); err != nil {
+		"-scale", "small", "-synth", "0").CombinedOutput(); err != nil {
 		t.Fatalf("eshcorpus -save -save-shards: %v\n%s", err, out)
 	}
 	manifest := snap + ".manifest"

@@ -21,8 +21,7 @@
 // At startup the gateway checks every replica's /v1/stats against the
 // manifest — fleet generation, shard coordinates, snapshot checksum,
 // sigmoid k — and refuses to start on a mismatch (merged scores would
-// be silently wrong) unless -allow-degraded is set. Kernel and
-// prefilter mode differences are score-neutral and only logged.
+// be silently wrong) unless -allow-degraded is set.
 //
 // Endpoints:
 //
@@ -142,11 +141,8 @@ func main() {
 	// Verify the fleet before serving: a replica with the wrong
 	// snapshot would merge into silently wrong scores.
 	vctx, vcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	warnings, errs := gw.CheckFleet(vctx)
+	errs := gw.CheckFleet(vctx)
 	vcancel()
-	for _, wmsg := range warnings {
-		logger.Warn("fleet", "msg", wmsg)
-	}
 	for _, e := range errs {
 		logger.Error("fleet verification failed", "err", e.Error())
 	}

@@ -3,53 +3,45 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/sketch"
 )
 
-// TestReconfigureDuringQueries drives ConfigureKernel and
-// ConfigurePrefilter concurrently with in-flight queries. Queries
-// snapshot the configuration once at entry (snapshotConfig), so under
-// -race this proves a live reconfiguration can neither tear a query's
-// view nor race its reads; each query must still succeed and rank the
-// similar target first.
+// TestReconfigureDuringQueries drives ConfigurePrefilter — sketch
+// geometry changes, and the band-collision tier switching on and off —
+// and SetWorkers concurrently with in-flight queries. Queries snapshot
+// the configuration once at entry (snapshotConfig), so under -race this
+// proves a live reconfiguration can neither tear a query's view nor
+// race its reads; each query must still succeed and rank the similar
+// target first.
 func TestReconfigureDuringQueries(t *testing.T) {
 	db := buildDB(t)
 	q := parse(t, gccStyle)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		modes := []string{"scalar", "batch"}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
+	reconfigure := func(step func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				step(i)
 			}
-			if err := db.ConfigureKernel(modes[i%len(modes)]); err != nil {
-				t.Errorf("ConfigureKernel: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		modes := []string{"lsh", "off"}
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := db.ConfigurePrefilter(modes[i%len(modes)], 0, 0, -1); err != nil {
-				t.Errorf("ConfigurePrefilter: %v", err)
-				return
-			}
-		}
-	}()
+		}()
+	}
+	reconfigure(func(i int) {
+		geoms := [][2]int{{24, 3}, {12, 6}}
+		db.ConfigurePrefilter(geoms[i%2][0], geoms[i%2][1], -1)
+	})
+	reconfigure(func(i int) {
+		db.ConfigurePrefilter(0, 0, []float64{sketch.SuggestedMinContainment, 0}[i%2])
+	})
+	reconfigure(func(i int) { db.SetWorkers(1 + i%2) })
 
 	const queriers, perQuerier = 4, 8
 	var qwg sync.WaitGroup

@@ -25,96 +25,6 @@ import (
 	"repro/internal/vcp"
 )
 
-// Prefilter modes: which candidate prefilter runs before the §5.5
-// size-ratio window in the VCP pair loop.
-const (
-	// PrefilterOff disables prefiltering: every (query strand, target
-	// strand) pair reaches the size window. The zero Options value and
-	// the empty string select this mode.
-	PrefilterOff = "off"
-	// PrefilterLSH gates pairs through the sketch index (package
-	// sketch). Its sound core skips pairs whose typed input counts
-	// make VCP provably zero in both directions, and computes only the
-	// live direction of half-dead pairs — rankings stay byte-identical
-	// to PrefilterOff. An opt-in heuristic tier (LSHMinContainment)
-	// additionally requires an LSH band collision or an estimated
-	// feature-containment level, trading a small measured recall loss
-	// for a larger skip rate.
-	PrefilterLSH = "lsh"
-)
-
-// NormalizePrefilter maps a user-facing mode string to a canonical
-// value, rejecting unknown modes.
-func NormalizePrefilter(mode string) (string, error) {
-	switch mode {
-	case "", PrefilterOff:
-		return PrefilterOff, nil
-	case PrefilterLSH:
-		return PrefilterLSH, nil
-	}
-	return "", fmt.Errorf("core: unknown prefilter mode %q (off, lsh)", mode)
-}
-
-// NormalizeKernel maps a user-facing evaluation-kernel mode string to a
-// canonical value, rejecting unknown modes. Both kernels produce
-// byte-identical fingerprints (the differential suite enforces it), so
-// the mode only affects speed, never rankings.
-func NormalizeKernel(mode string) (string, error) {
-	switch mode {
-	case "", vcp.KernelBatch:
-		return vcp.KernelBatch, nil
-	case vcp.KernelScalar:
-		return vcp.KernelScalar, nil
-	}
-	return "", fmt.Errorf("core: unknown kernel mode %q (batch, scalar)", mode)
-}
-
-// NormalizeGammaBatch maps a user-facing γ-batch width to a canonical
-// value: 0 selects vcp.DefaultGammaBatch, widths above vcp.MaxGammaBatch
-// are rejected. Any width produces byte-identical scores (the
-// differential suite enforces it), so the knob only affects speed.
-func NormalizeGammaBatch(g int) (int, error) {
-	if g == 0 {
-		return vcp.DefaultGammaBatch, nil
-	}
-	if g < 0 || g > vcp.MaxGammaBatch {
-		return 0, fmt.Errorf("core: gamma-batch width %d out of range [1, %d]", g, vcp.MaxGammaBatch)
-	}
-	return g, nil
-}
-
-// Retrieval modes: how stage 3 finds the candidate target strands for
-// each query strand.
-const (
-	// RetrievalScan walks every unique target strand per query strand,
-	// consulting the prefilter per pair. The zero Options value and the
-	// empty string select this mode; per-query cost grows linearly with
-	// the corpus.
-	RetrievalScan = "scan"
-	// RetrievalProbe probes the banded-LSH retrieval table (package
-	// sketch, RetrievalIndex) for each query strand's candidate set and
-	// runs injectability, the size window, and the verifier only on
-	// retrieved pairs. At sound settings (LSHMinContainment == 0) the
-	// probe returns exactly the injectability-live set, so rankings are
-	// byte-identical to scan mode; with the heuristic tier enabled the
-	// probe returns band-bucket collisions (a subset of the scan-mode
-	// heuristic rule) and per-query cost becomes roughly independent of
-	// corpus size.
-	RetrievalProbe = "probe"
-)
-
-// NormalizeRetrieval maps a user-facing retrieval mode string to a
-// canonical value, rejecting unknown modes.
-func NormalizeRetrieval(mode string) (string, error) {
-	switch mode {
-	case "", RetrievalScan:
-		return RetrievalScan, nil
-	case RetrievalProbe:
-		return RetrievalProbe, nil
-	}
-	return "", fmt.Errorf("core: unknown retrieval mode %q (scan, probe)", mode)
-}
-
 // Options configures the engine.
 type Options struct {
 	// VCP holds the verifier and §5.5 heuristic settings.
@@ -138,33 +48,25 @@ type Options struct {
 	// strands: the cache may transiently exceed the bound by one query
 	// strand's row.
 	VCPCachePairs int
-	// Prefilter selects the candidate prefilter consulted before the
-	// size-ratio window: PrefilterOff ("" or "off") or PrefilterLSH
-	// ("lsh"). The sketch index is maintained regardless, so the mode
-	// can be flipped at runtime with ConfigurePrefilter.
-	Prefilter string
-	// LSHBands and LSHRows shape the MinHash signature of the sketch
-	// prefilter (0 selects sketch.DefaultBands / sketch.DefaultRows).
+	// LSHBands and LSHRows shape the MinHash signature and its LSH
+	// banding (0 selects sketch.DefaultBands / sketch.DefaultRows).
 	LSHBands int
 	LSHRows  int
-	// LSHMinContainment, when > 0, enables the heuristic tier of the
-	// lsh prefilter (see sketch.Config.MinContainment;
-	// sketch.SuggestedMinContainment is the calibrated setting). The
-	// default 0 keeps the prefilter sound: rankings are byte-identical
-	// to prefilter-off.
+	// LSHMinContainment, when > 0, selects the band-collision tier:
+	// stage 3 takes each query strand's candidates from the retrieval
+	// table's probe instead of walking every target strand (see
+	// sketch.Config.MinContainment; any value above 0 selects it, and
+	// sketch.SuggestedMinContainment is the conventional one). It is
+	// the one option that changes rankings for speed; the default 0
+	// keeps stage 3 exact.
 	LSHMinContainment float64
-	// Retrieval selects the stage-3 candidate source: RetrievalScan
-	// ("" or "scan") or RetrievalProbe ("probe"). Like Prefilter it can
-	// be flipped at runtime (ConfigureRetrieval); the probe table is
-	// built lazily on first use and persisted in snapshot format v4.
-	Retrieval string
-	// RetrievalMaxDelta bounds how many live-written strands the probe
-	// path may overlay on the immutable retrieval table before the
-	// table is rebuilt eagerly at write time. Overlay strands are
-	// tested per query strand with the sound injectability rule, so
-	// correctness never depends on this knob — only the probe's
-	// sublinearity does. 0 selects DefaultRetrievalMaxDelta; negative
-	// defers every rebuild to compaction.
+	// RetrievalMaxDelta bounds how many live-written strands the
+	// band-collision tier may overlay on the immutable retrieval table
+	// before the table is rebuilt eagerly at write time. Overlay
+	// strands pass by the same rule the table applies, so answers never
+	// depend on this knob — only the probe's sublinearity does. 0
+	// selects DefaultRetrievalMaxDelta; negative defers every rebuild
+	// to compaction.
 	RetrievalMaxDelta int
 }
 
@@ -210,11 +112,11 @@ func (si ShardInfo) Sharded() bool { return si.Count > 0 }
 // DB is an indexed target database. Create with NewDB, populate with
 // AddTarget, then issue Query calls (Query is safe for concurrent use;
 // AddTarget is not). The serve-time reconfiguration calls
-// (ConfigurePrefilter, ConfigureKernel, SetWorkers) are safe to run
-// concurrently with Query: each query snapshots the configuration once
-// at entry and runs to completion under that view.
+// (ConfigurePrefilter, SetWorkers) are safe to run concurrently with
+// Query: each query snapshots the configuration once at entry and runs
+// to completion under that view.
 type DB struct {
-	// cfgMu guards opts, the sketch state (sketchCfg, sums, sketchIdx),
+	// cfgMu guards opts, the sketch state (sketchCfg, sums, retr),
 	// and — since the live write path landed — the corpus itself (uniq,
 	// counts, targets, total, live, h0Order, generation) against
 	// serve-time mutation racing in-flight queries. Queries take one
@@ -264,28 +166,23 @@ type DB struct {
 	tombstones    int
 	journal       Journal
 
-	// Prefilter state: one sketch summary per unique strand (in uniq
-	// order; MinHash signatures are persisted in snapshots, the rest
-	// is recomputed cheaply) and the banded index over them.
-	// Maintained unconditionally — it is cheap next to verifier
-	// preparation — so Options.Prefilter can be toggled at runtime.
+	// Sketch state: one summary per unique strand (in uniq order;
+	// MinHash signatures are persisted in snapshots, the typed input
+	// counts are recomputed cheaply). Stage 3 reads the typed counts
+	// for its injectability test on every pair.
 	sketchCfg sketch.Config
 	sums      []sketch.Summary
-	sketchIdx *sketch.Index
 
-	// Retrieval state: the immutable probe table over sums, built
-	// lazily (first probe query, ConfigureRetrieval, or snapshot adopt)
-	// and invalidated whenever sums or the banding change. sketchGen
+	// Retrieval state: the immutable probe table over sums, which only
+	// the band-collision tier reads. ConfigurePrefilter and snapshot
+	// adopt build it before they return whenever the tier is on; a bulk
+	// AddTarget database builds it on its first query. It is
+	// invalidated whenever sums or the banding change, and sketchGen
 	// counts those invalidations so a query whose config snapshot
 	// predates a rebuild can detect it and build a private table
 	// instead of caching a stale one.
 	retr      *sketch.RetrievalIndex
 	sketchGen uint64
-
-	// markPool recycles the n-wide []bool scratch slices stage 3 uses
-	// for prefilter candidate marking and probe deduplication, so a
-	// query of many strands does not allocate one per strand.
-	markPool sync.Pool
 
 	// vcpCache memoizes forward and reverse VCP by (query strand key,
 	// target strand key). The reverse slot holds NaN until an S-VCP
@@ -325,7 +222,6 @@ type DB struct {
 	mProbes        *telemetry.Counter
 	mProbeCands    *telemetry.Counter
 	mProbeSound    *telemetry.Counter
-	hLSHCands      *telemetry.Histogram
 	hSketchBuild   *telemetry.Histogram
 	hProbeCands    *telemetry.Histogram
 	hProbeLatency  *telemetry.Histogram
@@ -346,23 +242,6 @@ func NewDB(opts Options) *DB {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	opts.Prefilter, _ = NormalizePrefilter(opts.Prefilter) // unknown modes read as off
-	if opts.Prefilter == "" {
-		opts.Prefilter = PrefilterOff
-	}
-	opts.VCP.Kernel, _ = NormalizeKernel(opts.VCP.Kernel) // unknown modes read as batch
-	if opts.VCP.Kernel == "" {
-		opts.VCP.Kernel = vcp.KernelBatch
-	}
-	if g, err := NormalizeGammaBatch(opts.VCP.GammaBatch); err == nil {
-		opts.VCP.GammaBatch = g // out-of-range widths read as the default
-	} else {
-		opts.VCP.GammaBatch = vcp.DefaultGammaBatch
-	}
-	opts.Retrieval, _ = NormalizeRetrieval(opts.Retrieval) // unknown modes read as scan
-	if opts.Retrieval == "" {
-		opts.Retrieval = RetrievalScan
-	}
 	cfg := sketch.Config{
 		Bands:          opts.LSHBands,
 		Rows:           opts.LSHRows,
@@ -374,7 +253,6 @@ func NewDB(opts Options) *DB {
 		byKey:     map[string]int{},
 		vcpCache:  map[string]map[string][2]float64{},
 		sketchCfg: cfg,
-		sketchIdx: sketch.NewIndex(cfg),
 	}
 	db.initMetrics()
 	return db
@@ -400,7 +278,7 @@ func (db *DB) initMetrics() {
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one forward direction per cache miss, plus the reverse direction for S-VCP queries.")
 	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
 	db.mGammaCapped = reg.Counter("esh_vcp_gamma_capped_total", "Verifier directions that ended at the γ cap (MaxCorrespondences) without a perfect match; their VCP is a lower bound.")
-	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped by the sketch prefilter before any verifier work.")
+	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work because their typed inputs cannot inject in either direction.")
 	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel.")
 	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared strands (hoisted out of the γ loop by the batched kernel).")
@@ -410,34 +288,19 @@ func (db *DB) initMetrics() {
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
 		"Mean γ-batch fill fraction at flush, observed once per query strand row (rows carried / (width × flushes)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
-	db.hLSHCands = reg.Histogram("esh_lsh_candidate_set_size",
-		"LSH candidate-set size per query strand (prefilter on).",
-		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 	db.hSketchBuild = reg.Histogram("esh_sketch_build_seconds",
 		"Wall time spent computing MinHash sketches and LSH buckets (per target at index time, per rebuild at load time).", nil)
-	db.mProbes = reg.Counter("esh_retrieval_probes_total", "Probe-mode candidate retrievals (one per query strand).")
-	db.mProbeCands = reg.Counter("esh_retrieval_candidates_total", "Candidate target strands retrieved by probe-mode queries.")
-	db.mProbeSound = reg.Counter("esh_retrieval_sound_candidates_total", "Injectability-live target strands for probe-mode query strands (the sound candidate set the heuristic tier's retrieval is a subset of; candidates/sound is the recall proxy).")
+	db.mProbes = reg.Counter("esh_retrieval_probes_total", "Band-collision tier candidate retrievals (one per query strand).")
+	db.mProbeCands = reg.Counter("esh_retrieval_candidates_total", "Candidate target strands retrieved by the band-collision tier.")
+	db.mProbeSound = reg.Counter("esh_retrieval_sound_candidates_total", "Injectability-live target strands for band-collision tier query strands (the set the retrieved candidates are drawn from; candidates/sound is the recall proxy).")
 	db.hProbeCands = reg.Histogram("esh_retrieval_candidate_set_size",
-		"Retrieved candidate-set size per probe-mode query strand.",
+		"Retrieved candidate-set size per band-collision tier query strand.",
 		[]float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000})
 	db.hProbeLatency = reg.Histogram("esh_retrieval_probe_seconds",
-		"Wall time per retrieval-table probe (one per probe-mode query strand).",
+		"Wall time per retrieval-table probe (one per band-collision tier query strand).",
 		[]float64{1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 0.1})
 	db.hRetrBuild = reg.Histogram("esh_retrieval_table_build_seconds",
-		"Wall time per retrieval-table build (lazy first probe, ConfigureRetrieval, or sketch rebuild).", nil)
-	reg.GaugeFunc("esh_lsh_prefilter_enabled", "1 when the LSH prefilter gates the VCP pair loop.", func() float64 {
-		if db.prefilterOn() {
-			return 1
-		}
-		return 0
-	})
-	reg.GaugeFunc("esh_retrieval_probe_enabled", "1 when stage 3 probes the retrieval table instead of scanning all targets.", func() float64 {
-		if db.retrievalOn() {
-			return 1
-		}
-		return 0
-	})
+		"Wall time per retrieval-table build (tier enabled, snapshot adopt, first query, live-write rebuild or compaction).", nil)
 	reg.GaugeFunc("esh_vcp_cache_pairs", "Strand-pair results currently cached.", func() float64 {
 		db.mu.Lock()
 		defer db.mu.Unlock()
@@ -608,20 +471,6 @@ func (db *DB) Options() Options {
 // unsharded).
 func (db *DB) Shard() ShardInfo { return db.shard }
 
-// prefilterOn reports whether the LSH prefilter gates the pair loop.
-func (db *DB) prefilterOn() bool {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.opts.Prefilter == PrefilterLSH
-}
-
-// retrievalOn reports whether stage 3 probes the retrieval table.
-func (db *DB) retrievalOn() bool {
-	db.cfgMu.RLock()
-	defer db.cfgMu.RUnlock()
-	return db.opts.Retrieval == RetrievalProbe
-}
-
 // SketchConfig returns the banding of the DB's sketch index.
 func (db *DB) SketchConfig() sketch.Config {
 	db.cfgMu.RLock()
@@ -636,7 +485,6 @@ type queryConfig struct {
 	opts      Options
 	sketchCfg sketch.Config
 	sums      []sketch.Summary
-	sketchIdx *sketch.Index
 	retr      *sketch.RetrievalIndex
 	sketchGen uint64
 
@@ -654,14 +502,14 @@ type queryConfig struct {
 	pending    int
 }
 
-func (qc *queryConfig) prefilterOn() bool { return qc.opts.Prefilter == PrefilterLSH }
-func (qc *queryConfig) probeOn() bool     { return qc.opts.Retrieval == RetrievalProbe }
+// probeOn reports whether the query runs the band-collision tier.
+func (qc *queryConfig) probeOn() bool { return qc.sketchCfg.MinContainment > 0 }
 
 func (db *DB) snapshotConfig() queryConfig {
 	db.cfgMu.RLock()
 	qc := queryConfig{
 		opts: db.opts, sketchCfg: db.sketchCfg, sums: db.sums,
-		sketchIdx: db.sketchIdx, retr: db.retr, sketchGen: db.sketchGen,
+		retr: db.retr, sketchGen: db.sketchGen,
 		uniq: db.uniq, counts: db.counts, targets: db.targets,
 		live: db.live, h0Order: db.h0Order,
 		generation: db.generation, pending: db.pendingWrites,
@@ -674,7 +522,9 @@ func (db *DB) snapshotConfig() queryConfig {
 }
 
 // retrievalFor resolves the probe table for a query's configuration
-// snapshot, building and caching it on first use. If the sketch state
+// snapshot, building and caching it on first use (a database filled by
+// bulk AddTarget; every serve-time path builds it ahead of queries —
+// see ensureRetrievalLocked). If the sketch state
 // moved on between the snapshot and the build (a concurrent
 // ConfigurePrefilter geometry change), the shared cache is left alone
 // and the query gets a private table over its own snapshot view, so the
@@ -686,39 +536,30 @@ func (db *DB) retrievalFor(qc *queryConfig) *sketch.RetrievalIndex {
 	// this build could leave db.sums longer than the query's uniq view —
 	// a shared table built now would probe out of the query's range.
 	if db.sketchGen == qc.sketchGen && len(db.sums) == len(qc.sums) {
-		if db.retr == nil {
-			start := time.Now()
-			db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-			db.hRetrBuild.Observe(time.Since(start).Seconds())
-		}
-		r := db.retr
+		r := db.ensureRetrievalLocked()
 		db.cfgMu.Unlock()
 		return r
 	}
 	db.cfgMu.Unlock()
+	return db.buildRetrieval(qc.sums, qc.sketchCfg)
+}
+
+// buildRetrieval builds a probe table over sums, timing the build.
+func (db *DB) buildRetrieval(sums []sketch.Summary, cfg sketch.Config) *sketch.RetrievalIndex {
 	start := time.Now()
-	r := sketch.BuildRetrieval(qc.sums, qc.sketchCfg)
+	r := sketch.BuildRetrieval(sums, cfg)
 	db.hRetrBuild.Observe(time.Since(start).Seconds())
 	return r
 }
 
-// getMark fetches an all-false scratch slice of length n from the pool.
-func (db *DB) getMark(n int) []bool {
-	if v := db.markPool.Get(); v != nil {
-		if m := *(v.(*[]bool)); len(m) >= n {
-			return m[:n]
-		}
+// ensureRetrievalLocked builds the probe table over the current
+// summaries if it is not resident and returns it. Callers hold cfgMu
+// for writing, or own the DB exclusively (snapshot adopt).
+func (db *DB) ensureRetrievalLocked() *sketch.RetrievalIndex {
+	if db.retr == nil {
+		db.retr = db.buildRetrieval(db.sums, db.sketchCfg)
 	}
-	return make([]bool, n)
-}
-
-// putMark clears a scratch slice and returns it to the pool. The clear
-// costs the same memset the old per-row allocation paid, without the
-// garbage.
-func (db *DB) putMark(m []bool) {
-	m = m[:cap(m)]
-	clear(m)
-	db.markPool.Put(&m)
+	return db.retr
 }
 
 // Signatures returns the per-unique-strand MinHash signatures in index
@@ -733,24 +574,20 @@ func (db *DB) Signatures() []sketch.Signature {
 	return sigs
 }
 
-// ConfigurePrefilter sets the prefilter mode and, optionally, a new
-// sketch geometry (bands/rows <= 0 keep the current values) or
-// heuristic-tier threshold (minCont < 0 keeps the current value; 0
-// disables the tier). Changing the geometry recomputes every signature
-// and rebuilds the LSH index. Like SetWorkers it exists for serve-time
-// overrides of snapshot-baked options; it is safe to call concurrently
-// with Query (in-flight queries finish under the configuration they
-// started with).
-func (db *DB) ConfigurePrefilter(mode string, bands, rows int, minCont float64) error {
-	m, err := NormalizePrefilter(mode)
-	if err != nil {
-		return err
-	}
+// ConfigurePrefilter sets the sketch geometry (bands/rows <= 0 keep the
+// current values) and the band-collision tier (minCont < 0 keeps the
+// current setting; 0 turns the tier off, any value above 0 turns it
+// on). Changing the geometry recomputes every summary. With the tier
+// on, the retrieval table is built before the call returns, so no query
+// pays for it; with it off, a resident table is dropped. Like SetWorkers it exists for serve-time overrides of
+// snapshot-baked options; it is safe to call concurrently with Query
+// (in-flight queries finish under the configuration they started
+// with).
+func (db *DB) ConfigurePrefilter(bands, rows int, minCont float64) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.cfgMu.Lock()
 	defer db.cfgMu.Unlock()
-	db.opts.Prefilter = m
 	cfg := db.sketchCfg
 	if bands > 0 {
 		cfg.Bands = bands
@@ -762,78 +599,22 @@ func (db *DB) ConfigurePrefilter(mode string, bands, rows int, minCont float64) 
 		cfg.MinContainment = minCont
 	}
 	cfg = cfg.Normalized()
-	if cfg == db.sketchCfg {
-		return nil
-	}
 	db.opts.LSHBands, db.opts.LSHRows = cfg.Bands, cfg.Rows
 	db.opts.LSHMinContainment = cfg.MinContainment
+	regeom := cfg.Bands != db.sketchCfg.Bands || cfg.Rows != db.sketchCfg.Rows
 	db.sketchCfg = cfg
-	sigs := make([]sketch.Signature, len(db.sums))
-	for i := range db.sums {
-		sigs[i] = db.sums[i].Sig
+	if regeom {
+		sigs := make([]sketch.Signature, len(db.sums))
+		for i := range db.sums {
+			sigs[i] = db.sums[i].Sig
+		}
+		db.rebuildSketches(sigs)
 	}
-	db.rebuildSketches(sigs)
-	return nil
-}
-
-// ConfigureKernel sets the evaluation kernel mode (batch or scalar) for
-// subsequent queries. Fingerprints are identical under both kernels, so
-// the switch needs no index rebuild and never changes rankings; like
-// SetWorkers it exists for serve-time overrides of snapshot-baked
-// options and is safe to call concurrently with Query.
-func (db *DB) ConfigureKernel(mode string) error {
-	m, err := NormalizeKernel(mode)
-	if err != nil {
-		return err
+	if cfg.MinContainment > 0 {
+		db.ensureRetrievalLocked()
+	} else if db.retr != nil {
+		db.invalidateRetrieval() // nothing reads the table without the tier
 	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	db.opts.VCP.Kernel = m
-	db.cfgMu.Unlock()
-	return nil
-}
-
-// ConfigureGammaBatch sets the γ-batch width for subsequent queries
-// (0 = default). Every width produces byte-identical rankings — batching
-// only changes how many correspondences one kernel dispatch carries —
-// so, like ConfigureKernel, the switch needs no rebuild and is safe to
-// call concurrently with Query.
-func (db *DB) ConfigureGammaBatch(g int) error {
-	n, err := NormalizeGammaBatch(g)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	db.opts.VCP.GammaBatch = n
-	db.cfgMu.Unlock()
-	return nil
-}
-
-// ConfigureRetrieval sets the stage-3 candidate source (scan or probe)
-// for subsequent queries. Switching to probe builds the retrieval table
-// if it is not already resident (adopted from a v4 snapshot or built by
-// an earlier probe). Like ConfigurePrefilter it is safe to call
-// concurrently with Query: in-flight queries finish under the mode they
-// started with.
-func (db *DB) ConfigureRetrieval(mode string) error {
-	m, err := NormalizeRetrieval(mode)
-	if err != nil {
-		return err
-	}
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	db.cfgMu.Lock()
-	defer db.cfgMu.Unlock()
-	db.opts.Retrieval = m
-	if m == RetrievalProbe && db.retr == nil {
-		start := time.Now()
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(start).Seconds())
-	}
-	return nil
 }
 
 // RetrievalIndex returns the probe table over the current corpus,
@@ -844,15 +625,10 @@ func (db *DB) RetrievalIndex() *sketch.RetrievalIndex {
 	defer db.writeMu.Unlock()
 	db.cfgMu.Lock()
 	defer db.cfgMu.Unlock()
-	if db.retr == nil {
-		start := time.Now()
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(start).Seconds())
-	}
-	return db.retr
+	return db.ensureRetrievalLocked()
 }
 
-// rebuildSketches rebuilds the summary table and LSH index over every
+// rebuildSketches rebuilds the summary table over every
 // unique strand. When sigs is non-nil and geometrically compatible the
 // persisted signatures are adopted as-is (the snapshot-restore path);
 // otherwise signatures are re-MinHashed. The rest of each summary
@@ -880,20 +656,14 @@ func (db *DB) rebuildSketches(sigs []sketch.Signature) {
 		}(i, p.S)
 	}
 	wg.Wait()
-	idx := sketch.NewIndex(db.sketchCfg)
-	for _, sum := range sums {
-		idx.Add(sum)
-	}
 	db.sums = sums
-	db.sketchIdx = idx
 	db.invalidateRetrieval()
 	db.hSketchBuild.Observe(time.Since(start).Seconds())
 }
 
 // invalidateRetrieval drops the probe table after the summaries or the
-// banding change; the next probe-mode query (or ConfigureRetrieval)
-// rebuilds it. Callers hold cfgMu, or are AddTarget (documented as not
-// concurrency-safe).
+// banding change. Callers hold cfgMu, or are AddTarget (documented as
+// not concurrency-safe).
 func (db *DB) invalidateRetrieval() {
 	db.retr = nil
 	db.sketchGen++
@@ -935,27 +705,23 @@ type DBStats struct {
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
 	GammaCapped             uint64
-	// Prefilter is the active mode (PrefilterOff or PrefilterLSH);
-	// LSHBands/LSHRows the sketch geometry; LSHMinContainment the
-	// heuristic-tier threshold (0 = sound tier only); LSHPairsSkipped
-	// the pairs the prefilter removed before any verifier work;
-	// LSHDeadDirections the single verifier directions skipped on
-	// surviving pairs because the typed inputs cannot inject.
-	Prefilter         string
+	// LSHBands/LSHRows are the sketch geometry; LSHMinContainment the
+	// band-collision tier setting (0 = off); LSHPairsSkipped the pairs
+	// skipped before any verifier work because their typed inputs
+	// cannot inject in either direction; LSHDeadDirections the single
+	// verifier directions skipped on surviving pairs for the same
+	// reason.
 	LSHBands          int
 	LSHRows           int
 	LSHMinContainment float64
 	LSHPairsSkipped   uint64
 	LSHDeadDirections uint64
-	// Retrieval is the active stage-3 candidate source (RetrievalScan
-	// or RetrievalProbe). RetrievalProbes counts probe-mode query
-	// strands; RetrievalCandidates their cumulative retrieved
-	// candidates; RetrievalSoundCandidates the cumulative
-	// injectability-live set sizes (candidates/sound is the recall
-	// proxy at heuristic settings — at sound settings the two are
-	// equal). The table-shape fields are zero until the probe table has
-	// been built (lazily, on first probe use).
-	Retrieval                string
+	// RetrievalProbes counts band-collision tier query strands;
+	// RetrievalCandidates their cumulative retrieved candidates;
+	// RetrievalSoundCandidates the cumulative injectability-live set
+	// sizes (candidates/sound is the recall proxy). The table-shape
+	// fields are zero while no probe table is resident (the tier is
+	// off).
 	RetrievalProbes          uint64
 	RetrievalCandidates      uint64
 	RetrievalSoundCandidates uint64
@@ -963,19 +729,17 @@ type DBStats struct {
 	RetrievalTableMaxPost    int
 	RetrievalTableMeanPost   float64
 	RetrievalTableSkew       float64
-	// Kernel is the active evaluation-kernel mode (batch or scalar);
-	// KernelNanos the cumulative wall time γ loops spent inside it;
-	// KernelPrefixInstrs / KernelInstrs the γ-invariant and total
-	// compiled instruction counts across prepared strands (their ratio
-	// is the fraction of evaluation work hoisted out of the γ loop).
-	Kernel             string
+	// KernelNanos is the cumulative wall time γ loops spent inside the
+	// evaluation kernel; KernelPrefixInstrs / KernelInstrs the
+	// γ-invariant and total compiled instruction counts across prepared
+	// strands (their ratio is the fraction of evaluation work hoisted
+	// out of the γ loop).
 	KernelNanos        uint64
 	KernelPrefixInstrs uint64
 	KernelInstrs       uint64
-	// GammaBatch is the configured γ-batch width G; GammaBatches the
-	// cumulative kernel flushes and GammaBatchRows the correspondences
-	// those flushes carried (rows/(G·batches) is the mean occupancy).
-	GammaBatch     int
+	// GammaBatches is the cumulative batched-kernel flushes and
+	// GammaBatchRows the correspondences those flushes carried
+	// (rows/(vcp.GammaBatch·batches) is the mean occupancy).
 	GammaBatches   uint64
 	GammaBatchRows uint64
 	// Queries is the number of Query calls answered; StageSeconds holds
@@ -998,10 +762,6 @@ func (s DBStats) VCPCacheHitRate() float64 {
 // time); the cache counters are read under the cache lock.
 func (db *DB) Stats() DBStats {
 	db.cfgMu.RLock()
-	prefilter := db.opts.Prefilter
-	kernel := db.opts.VCP.Kernel
-	gammaBatch := db.opts.VCP.GammaBatch
-	retrieval := db.opts.Retrieval
 	skCfg := db.sketchCfg
 	retr := db.retr
 	nTargets := len(db.targets)
@@ -1029,21 +789,17 @@ func (db *DB) Stats() DBStats {
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
 		GammaCapped:              db.mGammaCapped.Value(),
-		Prefilter:                prefilter,
 		LSHBands:                 skCfg.Bands,
 		LSHRows:                  skCfg.Rows,
 		LSHMinContainment:        skCfg.MinContainment,
 		LSHPairsSkipped:          db.mLSHSkipped.Value(),
 		LSHDeadDirections:        db.mDeadDirs.Value(),
-		Retrieval:                retrieval,
 		RetrievalProbes:          db.mProbes.Value(),
 		RetrievalCandidates:      db.mProbeCands.Value(),
 		RetrievalSoundCandidates: db.mProbeSound.Value(),
-		Kernel:                   kernel,
 		KernelNanos:              db.mKernelNanos.Value(),
 		KernelPrefixInstrs:       db.mPrefixInstrs.Value(),
 		KernelInstrs:             db.mKernelInstrs.Value(),
-		GammaBatch:               gammaBatch,
 		GammaBatches:             db.mGammaBatches.Value(),
 		GammaBatchRows:           db.mGammaRows.Value(),
 		Queries:                  db.mQueries.Value(),
@@ -1147,7 +903,6 @@ func (db *DB) AddTarget(p *asm.Proc) error {
 			skStart := time.Now()
 			sum := sketch.Summarize(s, db.sketchCfg)
 			db.sums = append(db.sums, sum)
-			db.sketchIdx.Add(sum)
 			db.invalidateRetrieval()
 			db.hSketchBuild.Observe(time.Since(skStart).Seconds())
 		}
@@ -1356,25 +1111,6 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 	// query of few large strands still saturates every worker and the
 	// goroutine count is bounded by Workers rather than the strand count.
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
-	// Pin the engine path this query actually ran under to the span:
-	// serve-time reconfiguration (ConfigureKernel/ConfigurePrefilter)
-	// can flip db.opts before anyone inspects the trace, so record
-	// the entry-time snapshot rather than the live options.
-	if qc.opts.VCP.Kernel == vcp.KernelScalar {
-		spVCP.SetAttr("kernel_batch", 0)
-	} else {
-		spVCP.SetAttr("kernel_batch", 1)
-	}
-	if qc.prefilterOn() {
-		spVCP.SetAttr("prefilter_lsh", 1)
-	} else {
-		spVCP.SetAttr("prefilter_lsh", 0)
-	}
-	if qc.probeOn() {
-		spVCP.SetAttr("retrieval_probe", 1)
-	} else {
-		spVCP.SetAttr("retrieval_probe", 0)
-	}
 	if reverse {
 		spVCP.SetAttr("reverse", 1)
 	} else {
@@ -1391,23 +1127,31 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 	for i, q := range qs {
 		qp.Weights[i] = q.weight
 	}
-	qp.Rows = rows
 
-	// Stage 4: score — the shard-local reductions. Both are exact under
-	// sharding: per-target best-VCP is a max over the target's own
-	// strands, and S-VCP sums maxRev over the target's own strands (a
-	// strand shared between two targets contributes to each target's sum
-	// on whichever shard holds that target, from rows computed against
-	// the full query — so per-shard values equal single-node values).
-	// Without the reverse direction there is no S-VCP to reduce.
+	// Stage 4: score — the shard-local reductions (see reduceRows).
 	_, spScore := telemetry.StartSpan(ctx, "score")
+	reduceRows(qp, qc, rows, revRows)
+	spScore.SetAttr("targets", float64(len(qp.Targets)))
+	db.observeStage("score", spScore.End())
+	return qp, nil
+}
 
+// reduceRows is stage 4: it stores the forward rows in qp and adds the
+// shard-local per-target reductions. Both are exact under sharding:
+// per-target best-VCP is a max over the target's own strands, and S-VCP
+// sums maxRev over the target's own strands (a strand shared between
+// two targets contributes to each target's sum on whichever shard holds
+// that target, from rows computed against the full query — so
+// per-shard values equal single-node values). Without the reverse rows
+// (revRows == nil) there is no S-VCP to reduce.
+func reduceRows(qp *QueryPartial, qc *queryConfig, rows, revRows [][]float64) {
+	qp.Rows = rows
 	// maxRev[j]: the best any query strand contains target strand j.
 	var maxRev []float64
-	if reverse {
+	if revRows != nil {
 		maxRev = make([]float64, len(qc.uniq))
-		for i := range qs {
-			for j, v := range revRows[i] {
+		for _, rev := range revRows {
+			for j, v := range rev {
 				if v > maxRev[j] {
 					maxRev[j] = v
 				}
@@ -1423,10 +1167,9 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 		if qc.live != nil && !qc.live[ti] {
 			continue
 		}
-		maxVCPs := make([]float64, len(qs))
-		for i := range qs {
+		maxVCPs := make([]float64, len(rows))
+		for i, row := range rows {
 			best := 0.0
-			row := rows[i]
 			for _, j := range t.strandIdx {
 				if row[j] > best {
 					best = row[j]
@@ -1435,7 +1178,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 			maxVCPs[i] = best
 		}
 		svcp := 0.0
-		if reverse {
+		if maxRev != nil {
 			for _, j := range t.strandIdx {
 				svcp += maxRev[j]
 			}
@@ -1444,9 +1187,6 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 	}
 	qp.DataGeneration = qc.generation
 	qp.PendingWrites = qc.pending
-	spScore.SetAttr("targets", float64(len(qp.Targets)))
-	db.observeStage("score", spScore.End())
-	return qp, nil
 }
 
 // rowStats is the per-row telemetry accumulator: each chunk counts its
@@ -1454,9 +1194,7 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 // once, so the pair loop never touches an atomic or a span lock.
 type rowStats struct {
 	pairs       int   // unique target strands examined
-	lshSkipped  int   // skipped by the LSH prefilter
-	lshCands    int   // LSH candidate-set size (valid when lshOn)
-	lshOn       bool  // prefilter consulted for this row
+	lshSkipped  int   // skipped as injectability-dead in both directions
 	probeOn     bool  // candidates came from a retrieval-table probe
 	probeCands  int   // retrieved candidate-set size (valid when probeOn)
 	soundCands  int   // injectability-live set size (valid when probeOn)
@@ -1472,7 +1210,6 @@ type rowStats struct {
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes
 	gammaRows   int64 // correspondences those flushes carried
-	gammaWidth  int   // configured γ-batch width (for occupancy)
 }
 
 // add counts one verifier call's work.
@@ -1488,8 +1225,8 @@ func (rs *rowStats) add(st vcp.Stats) {
 }
 
 // merge folds a chunk's local counts into the row accumulator. The
-// row-wide fields (pairs, lshOn, lshCands) are set at init time and left
-// alone here.
+// row-wide fields (pairs and the probe fields) are set at row setup and
+// left alone here.
 func (rs *rowStats) merge(d rowStats) {
 	rs.lshSkipped += d.lshSkipped
 	rs.pruned += d.pruned
@@ -1503,9 +1240,6 @@ func (rs *rowStats) merge(d rowStats) {
 	rs.kernelNanos += d.kernelNanos
 	rs.gammaB += d.gammaB
 	rs.gammaRows += d.gammaRows
-	if d.gammaWidth > rs.gammaWidth {
-		rs.gammaWidth = d.gammaWidth
-	}
 }
 
 // flush adds the row's counts to the DB counters and, when sp is part of
@@ -1522,12 +1256,10 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
 		db.mGammaRows.Add(uint64(rs.gammaRows))
-		db.hGammaOccup.Observe(float64(rs.gammaRows) / (float64(rs.gammaWidth) * float64(rs.gammaB)))
+		db.hGammaOccup.Observe(float64(rs.gammaRows) / (float64(vcp.GammaBatch) * float64(rs.gammaB)))
 	}
-	if rs.lshOn {
-		db.mLSHSkipped.Add(uint64(rs.lshSkipped))
-		db.hLSHCands.Observe(float64(rs.lshCands))
-	}
+	db.mLSHSkipped.Add(uint64(rs.lshSkipped))
+	db.mDeadDirs.Add(uint64(rs.deadDirs))
 	if rs.probeOn {
 		db.mProbes.Inc()
 		db.mProbeCands.Add(uint64(rs.probeCands))
@@ -1535,24 +1267,16 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 		db.hProbeCands.Observe(float64(rs.probeCands))
 		db.hProbeLatency.Observe(float64(rs.probeNanos) / 1e9)
 	}
-	if rs.lshOn || rs.probeOn {
-		db.mDeadDirs.Add(uint64(rs.deadDirs))
-	}
 	if sp == nil {
 		return
 	}
 	sp.AddAttr("pairs", float64(rs.pairs))
-	if rs.lshOn {
-		sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
-		sp.AddAttr("lsh_candidates", float64(rs.lshCands))
-	}
+	sp.AddAttr("lsh_skipped", float64(rs.lshSkipped))
+	sp.AddAttr("dead_directions", float64(rs.deadDirs))
 	if rs.probeOn {
 		sp.AddAttr("retrieval_candidates", float64(rs.probeCands))
 		sp.AddAttr("retrieval_sound_candidates", float64(rs.soundCands))
 		sp.AddAttr("probe_nanos", float64(rs.probeNanos))
-	}
-	if rs.lshOn || rs.probeOn {
-		sp.AddAttr("dead_directions", float64(rs.deadDirs))
 	}
 	sp.AddAttr("pairs_pruned", float64(rs.pruned))
 	sp.AddAttr("pairs_identical", float64(rs.identical))
@@ -1586,28 +1310,25 @@ func pairChunk(nq, n, workers int) int {
 }
 
 // vcpRowState carries one query strand's row through the pair-level
-// work queue. The once-init populates the row-wide inputs (cache
-// snapshot, prefilter candidate set, size ratio) on whichever worker
-// touches the row first; chunks then run lock-free over disjoint target
-// ranges, merging their telemetry and fresh cache entries under the row
-// lock; the worker that finishes the last chunk flushes the stats and
-// writes the fresh entries back to the shared cache.
+// work queue. The once-init populates the memo-cache snapshot and the
+// size ratio on whichever worker touches the row first; chunks then run
+// lock-free over disjoint target ranges, merging their telemetry and
+// fresh cache entries under the row lock; the worker that finishes the
+// last chunk flushes the stats and writes the fresh entries back to the
+// shared cache.
 type vcpRowState struct {
 	q        *vcp.Prepared
-	qc       *queryConfig // the query's entry-time configuration snapshot
-	fwd, rev []float64    // rev is nil when the query skips the reverse direction
+	qSum     sketch.Summary // typed input counts (plus the signature when probing)
+	qc       *queryConfig   // the query's entry-time configuration snapshot
+	fwd, rev []float64      // rev is nil when the query skips the reverse direction
 
-	// Probe mode: the retrieved candidate ids, filled at row setup
-	// (before chunking — the chunk cuts cover this list, not [0, n)).
-	// nil in scan mode. probed distinguishes "probe mode, no
-	// candidates" from "scan mode".
+	// Band-collision tier: the retrieved candidate ids, filled at row
+	// setup (before chunking — the chunk cuts cover this list, not
+	// [0, n)). nil when the row walks every target strand.
 	candIDs []int32
-	probed  bool
 
 	init   sync.Once
 	cached map[string][2]float64 // shared-cache snapshot, read-only after init
-	cand   []bool                // prefilter candidates (nil when off or probing)
-	qSum   sketch.Summary
 	ratio  float64
 
 	mu      sync.Mutex
@@ -1616,16 +1337,26 @@ type vcpRowState struct {
 	pending atomic.Int32 // chunks not yet finished
 }
 
+// rowLen is the number of pair slots the row's chunks cover.
+func (st *vcpRowState) rowLen() int {
+	if st.rs.probeOn {
+		return len(st.candIDs)
+	}
+	return len(st.fwd)
+}
+
 // vcpRows computes VCP(q, u) — and, when reverse is set, VCP(u, q) —
 // for every (query strand q, unique target strand u) pair, applying the
-// §5.5 size window and the cross-query memo cache. revRows is nil
-// without reverse. All rows are cut into pairChunkSize chunks up
-// front and drained through one shared queue by min(Workers, chunks)
-// goroutines, so parallelism comes from the pair population rather than
-// the strand count: a query with fewer strands than workers no longer
-// leaves cores idle, and a query with thousands of strands no longer
-// spawns a goroutine per strand. Work counts flow into sp (the shared
-// vcp stage span) and the DB counters once per row.
+// injectability test, the §5.5 size window and the cross-query memo
+// cache. With the band-collision tier on, a row covers only the
+// retrieval table's candidates for its query strand. revRows is nil
+// without reverse. All rows are cut into pairChunk chunks up front and
+// drained through one shared queue by min(Workers, chunks) goroutines,
+// so parallelism comes from the pair population rather than the strand
+// count: a query with fewer strands than workers no longer leaves cores
+// idle, and a query with thousands of strands no longer spawns a
+// goroutine per strand. Work counts flow into sp (the shared vcp stage
+// span) and the DB counters once per row.
 func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, reverse bool) (rows, revRows [][]float64) {
 	n := len(qc.uniq)
 	rows = make([][]float64, len(qs))
@@ -1637,11 +1368,12 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 	totalPairs := 0
 	var scratch []bool
 	if probe {
-		scratch = db.getMark(n)
+		scratch = make([]bool, qc.retr.Len())
 	}
 	for i, q := range qs {
 		st := &vcpRowState{
 			q:     q,
+			qSum:  sketch.InputSummary(q.S),
 			qc:    qc,
 			fwd:   make([]float64, n),
 			fresh: map[string][2]float64{},
@@ -1650,14 +1382,13 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 			st.rev = make([]float64, n)
 			revRows[i] = st.rev
 		}
+		st.rs.pairs = n
 		if probe {
 			// Probe the retrieval table up front: the chunk cuts below
 			// cover the retrieved candidate list, so everything outside
-			// it is never touched (its row entries stay zero, exactly
-			// like a scan-mode prefilter skip).
-			st.probed = true
-			st.qSum = sketch.Summarize(q.S, qc.sketchCfg)
+			// it is never touched (its row entries stay zero).
 			start := time.Now()
+			st.qSum = sketch.Summarize(q.S, qc.sketchCfg)
 			st.candIDs, st.rs.soundCands = qc.retr.Probe(st.qSum, scratch, nil)
 			// Delta overlay: strands written live since the table was
 			// built (sketch.RetrievalIndex.ProbeDelta has the contract).
@@ -1668,25 +1399,16 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 			st.rs.probeOn = true
 			st.rs.probeCands = len(st.candIDs)
 			st.rs.pairs = len(st.candIDs)
-			totalPairs += len(st.candIDs)
-		} else {
-			st.rs.pairs = n
-			totalPairs += n
 		}
+		totalPairs += st.rs.pairs
 		states[i] = st
 		rows[i] = st.fwd
-	}
-	if probe {
-		db.putMark(scratch)
 	}
 	size := pairChunk(1, totalPairs, qc.opts.Workers)
 	type chunk struct{ row, lo, hi int }
 	var chunks []chunk
 	for i, st := range states {
-		rowLen := n
-		if st.probed {
-			rowLen = len(st.candIDs)
-		}
+		rowLen := st.rowLen()
 		if rowLen == 0 {
 			// No chunk will ever touch this row: flush its telemetry
 			// (probe latency, empty candidate set) here.
@@ -1721,11 +1443,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 }
 
 // initRow populates a row's shared inputs: the memo-cache snapshot and
-// — with the prefilter on — the candidate target set (everything
-// unmarked is skipped in vcpChunk before the size window runs: pairs
-// that are injectability-dead in both directions, plus — with the
-// heuristic tier enabled — pairs the LSH/containment tests consider
-// dissimilar).
+// the size ratio.
 func (db *DB) initRow(st *vcpRowState) {
 	qKey := st.q.Key()
 	db.mu.Lock()
@@ -1739,34 +1457,24 @@ func (db *DB) initRow(st *vcpRowState) {
 	if st.ratio <= 0 {
 		st.ratio = vcp.Default().SizeRatio
 	}
-	// In probe mode the candidate set was retrieved at row setup (it
-	// determined the chunk cuts); the scan-mode prefilter has nothing
-	// left to mark.
-	if !st.probed && st.qc.prefilterOn() {
-		st.rs.lshOn = true
-		st.cand = db.getMark(len(st.qc.uniq))
-		st.qSum = sketch.Summarize(st.q.S, st.qc.sketchCfg)
-		st.rs.lshCands = st.qc.sketchIdx.Candidates(st.qSum, st.cand)
-	}
 }
 
-// vcpChunk processes the target strands [lo, hi) of one row: the pair
-// loop body (identical-key short circuit, prefilter, size window, memo
+// vcpChunk processes the pair slots [lo, hi) of one row: the pair loop
+// body (identical-key short circuit, injectability, size window, memo
 // cache, verifier calls in each live direction the query needs) over a
 // local stats accumulator and fresh-entry map, merged into the row
 // under its lock. A forward-only query caches the reverse slot as NaN;
 // a reverse-reading query that hits such an entry computes only the
 // reverse direction and writes it back.
-// The identical-key short circuit stays ahead of the prefilter so an
-// exact structural match can never be lost to sketch noise. The chunk
-// that completes the row triggers finishRow.
+// The identical-key short circuit stays ahead of the injectability
+// test, so an exact structural match always scores 1. The chunk that
+// completes the row triggers finishRow.
 func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	st.init.Do(func() { db.initRow(st) })
 
 	q := st.q
 	qKey := q.Key()
 	var rs rowStats
-	rs.gammaWidth = st.qc.opts.VCP.GammaBatch
 	var fresh map[string][2]float64
 	// One forward-direction evaluator for the whole chunk: the query
 	// strand's kernel — and its evaluated γ-invariant prefix — persists
@@ -1779,15 +1487,14 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	defer fwdEval.Close()
 	for k := lo; k < hi; k++ {
 		j := k
-		if st.candIDs != nil {
-			j = int(st.candIDs[k]) // probe mode: [lo,hi) indexes the candidate list
+		if st.rs.probeOn {
+			j = int(st.candIDs[k]) // [lo,hi) indexes the candidate list
 		}
 		// Dead strands (every owning target tombstoned) are skipped
 		// before any work — including the identical short circuit — so
-		// their row entries stay zero and scan and probe hand the
-		// verifier the same live pair set. Nothing downstream reads
-		// them: h0Order excludes dead strands and stage 4 only walks
-		// live targets' strand lists.
+		// their row entries stay zero. Nothing downstream reads them:
+		// h0Order excludes dead strands and stage 4 only walks live
+		// targets' strand lists.
 		if st.qc.counts[j] == 0 {
 			continue
 		}
@@ -1801,7 +1508,12 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 			rs.identical++
 			continue
 		}
-		if st.cand != nil && !st.cand[j] {
+		// VCP in a direction whose typed inputs cannot inject is exactly
+		// 0: a pair dead both ways is skipped outright, and a half-dead
+		// pair runs only its live direction.
+		uSum := st.qc.sums[j]
+		fwdLive, revLive := st.qSum.Injects(uSum), uSum.Injects(st.qSum)
+		if !fwdLive && !revLive {
 			rs.lshSkipped++
 			continue
 		}
@@ -1815,15 +1527,6 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 		if hit && !needRev {
 			rs.hits++
 		} else {
-			// With the prefilter on (or a probed candidate set), a
-			// candidate pair can still be injectability-dead in ONE
-			// direction: that direction's VCP is exactly 0 and its
-			// verifier call is skipped.
-			fwdLive, revLive := true, true
-			if st.cand != nil || st.probed {
-				uSum := st.qc.sums[j]
-				fwdLive, revLive = st.qSum.Injects(uSum), uSum.Injects(st.qSum)
-			}
 			if !hit {
 				v[1] = math.NaN() // reverse not computed unless needRev
 				if fwdLive {
@@ -1875,10 +1578,6 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 // the pair loop.
 func (db *DB) finishRow(st *vcpRowState, sp *telemetry.Span) {
 	db.flushRowStats(st.rs, sp)
-	if st.cand != nil {
-		db.putMark(st.cand)
-		st.cand = nil
-	}
 	if len(st.fresh) == 0 {
 		return
 	}

@@ -1,27 +1,15 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/compile"
 	"repro/internal/corpus"
-	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/vcp"
 )
-
-// The LSH prefilter is an optimisation, not a new ranking method: at
-// the sound defaults it must leave GES rankings byte-identical to the
-// exhaustive pair loop while doing measurably less verifier work. This
-// differential harness builds the same small-scale corpus into two DBs
-// (prefilter off and lsh), runs representative vulnerability queries
-// through both, and then audits every pair-direction the prefilter
-// skipped by recomputing its true VCP — the sound core only ever skips
-// work that is provably zero, so a single nonzero value is a bug, not a
-// tuning tradeoff.
 
 func buildDiffCorpus(t *testing.T) []*asm.Proc {
 	t.Helper()
@@ -62,146 +50,95 @@ func rankingNames(rep *Report, m stats.Method) string {
 	return b.String()
 }
 
+// The differential tests below hold the production stage 3 to the
+// exhaustive scalar oracle (oracle_test.go) on the differential corpus,
+// each for one family of quantities: scores and rankings, the
+// injectability skip, the evaluation kernel, and γ-batching.
+
+// TestPrefilterDifferential audits the injectability skip: every
+// direction production skips must score exactly zero (the oracle
+// checks each one), the skip must save at least 30% of the verifier
+// calls an unfiltered loop makes, and the counts of skipped pairs and
+// of verifier calls must equal the oracle's exactly.
 func TestPrefilterDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential prefilter run is slow")
+	fx := loadDiffFixture(t)
+	for i, q := range fx.queries {
+		requireOracleMatch(t, q.Name, fx.got[i], fx.want[i])
 	}
-	procs := buildDiffCorpus(t)
-
-	dbOff := NewDB(Options{})
-	dbLSH := NewDB(Options{Prefilter: PrefilterLSH})
-	fillDB(t, dbOff, procs)
-	fillDB(t, dbLSH, procs)
-
-	qtc, ok := compile.ByName("clang-3.5")
-	if !ok {
-		t.Fatal("query toolchain missing")
+	w := fx.work
+	if len(w.unsound) > 0 {
+		t.Errorf("%d skipped directions have nonzero true VCP:\n  %s",
+			len(w.unsound), strings.Join(w.unsound[:min(5, len(w.unsound))], "\n  "))
 	}
-	vulns := corpus.Vulns()
-	if len(vulns) > 3 {
-		vulns = vulns[:3]
+	st := fx.db.Stats()
+	if st.VerifierCalls != uint64(w.live) {
+		t.Errorf("verifier calls %d, oracle counts %d live directions", st.VerifierCalls, w.live)
 	}
-	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
-		if err != nil {
-			t.Fatalf("compile query %s: %v", v.Alias, err)
-		}
-		repOff, err := dbOff.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (off): %v", v.Alias, err)
-		}
-		repLSH, err := dbLSH.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (lsh): %v", v.Alias, err)
-		}
-		off := rankingNames(repOff, stats.Esh)
-		lsh := rankingNames(repLSH, stats.Esh)
-		if off != lsh {
-			ro, rl := repOff.Rank(stats.Esh), repLSH.Rank(stats.Esh)
-			var diffs []string
-			for i := range ro {
-				if ro[i].Target.Name != rl[i].Target.Name {
-					diffs = append(diffs, fmt.Sprintf(
-						"  rank %3d: off %-52s GES=%.6f | lsh %-52s GES=%.6f",
-						i+1, ro[i].Target.Name, ro[i].GES, rl[i].Target.Name, rl[i].GES))
-				}
-			}
-			t.Errorf("query %s: GES ranking diverges under the LSH prefilter at %d positions:\n%s",
-				v.Alias, len(diffs), strings.Join(diffs, "\n"))
-		}
-
-		auditDroppedPairs(t, dbLSH, q, v.Alias)
+	if st.LSHPairsSkipped != uint64(w.skipped) {
+		t.Errorf("pairs skipped %d, oracle counts %d dead both ways", st.LSHPairsSkipped, w.skipped)
 	}
-
-	offCalls := dbOff.Stats().VerifierCalls
-	lshCalls := dbLSH.Stats().VerifierCalls
-	if offCalls == 0 {
-		t.Fatal("off-mode run made no verifier calls; harness is vacuous")
+	if w.directions == 0 {
+		t.Fatal("the oracle ran no verifier directions; the harness is vacuous")
 	}
-	t.Logf("verifier calls: off=%d lsh=%d (%.1f%% saved; %d pairs LSH-skipped)",
-		offCalls, lshCalls, 100*(1-float64(lshCalls)/float64(offCalls)),
-		dbLSH.Stats().LSHPairsSkipped)
-	if float64(lshCalls) > 0.7*float64(offCalls) {
-		t.Errorf("LSH prefilter saved too little verifier work: %d calls vs %d off (want <= 70%%)",
-			lshCalls, offCalls)
+	t.Logf("verifier calls: exhaustive=%d production=%d (%.1f%% saved; %d pairs skipped, %d dead directions)",
+		w.directions, st.VerifierCalls, 100*(1-float64(st.VerifierCalls)/float64(w.directions)),
+		st.LSHPairsSkipped, st.LSHDeadDirections)
+	if float64(st.VerifierCalls) > 0.7*float64(w.directions) {
+		t.Errorf("the injectability skip saved too little verifier work: %d calls vs %d exhaustive (want <= 70%%)",
+			st.VerifierCalls, w.directions)
 	}
 }
 
-// auditDroppedPairs recomputes the ground truth for everything the
-// prefilter removed from this query. At the sound defaults the claim is
-// exact, so the audit is too: a pair skipped outright (dead in both
-// directions) must have true VCP exactly 0 both ways, and a surviving
-// pair's dead direction must score exactly 0 — any nonzero value is an
-// unsound skip that perturbs scores, not just a recall leak.
-func auditDroppedPairs(t *testing.T, db *DB, q *asm.Proc, alias string) {
-	t.Helper()
-	kept, _, err := decompose(q, db.opts)
-	if err != nil {
-		t.Fatalf("decompose %s: %v", alias, err)
+// TestKernelDifferential pins that the batched kernel is an
+// optimisation, not a new verifier: rankings and raw scores of all three
+// methods, γ counts and γ-cap counts equal the scalar oracle's, and the
+// kernel telemetry shows the batched engine engaged (γ time attributed
+// to the kernel, a nonzero instruction prefix hoisted).
+func TestKernelDifferential(t *testing.T) {
+	fx := loadDiffFixture(t)
+	for i, q := range fx.queries {
+		requireOracleMatch(t, q.Name, fx.got[i], fx.want[i])
 	}
-	ratio := db.opts.VCP.SizeRatio
-	if ratio <= 0 {
-		ratio = vcp.Default().SizeRatio
+	st := fx.db.Stats()
+	if st.VerifierCorrespondences != uint64(fx.work.gamma) {
+		t.Errorf("γ counts diverge: production=%d oracle=%d", st.VerifierCorrespondences, fx.work.gamma)
 	}
-	seen := map[string]bool{}
-	dropped, deadDirs, unsound := 0, 0, 0
-	var examples []string
-	flag := func(j int, dir string, v float64) {
-		unsound++
-		if len(examples) < 5 {
-			examples = append(examples,
-				fmt.Sprintf("  %s vcp=%.3f target-strand=%d", dir, v, j))
-		}
+	if st.GammaCapped != uint64(fx.work.capped) {
+		t.Errorf("γ-capped directions diverge: production=%d oracle=%d", st.GammaCapped, fx.work.capped)
 	}
-	for _, s := range kept {
-		key := s.CanonicalKey()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		prep := vcp.Prepare(s, db.opts.VCP)
-		if prep.Err() != nil {
-			t.Fatalf("prepare query strand: %v", prep.Err())
-		}
-		qSum := sketch.Summarize(s, db.sketchCfg)
-		mark := make([]bool, len(db.uniq))
-		db.sketchIdx.Candidates(qSum, mark)
-		for j, u := range db.uniq {
-			if u.Key() == key || !vcp.SizeCompatible(s, u.S, ratio) {
-				continue
-			}
-			uSum := db.sums[j]
-			if !mark[j] {
-				// Skipped outright: must be zero in both directions.
-				dropped++
-				if fv := vcp.Compute(prep, u, db.opts.VCP); fv != 0 {
-					flag(j, "dropped-fwd", fv)
-				}
-				if rv := vcp.Compute(u, prep, db.opts.VCP); rv != 0 {
-					flag(j, "dropped-rev", rv)
-				}
-				continue
-			}
-			// Candidate pair: each direction the engine declares dead
-			// must truly score zero.
-			if !qSum.Injects(uSum) {
-				deadDirs++
-				if fv := vcp.Compute(prep, u, db.opts.VCP); fv != 0 {
-					flag(j, "dead-fwd", fv)
-				}
-			}
-			if !uSum.Injects(qSum) {
-				deadDirs++
-				if rv := vcp.Compute(u, prep, db.opts.VCP); rv != 0 {
-					flag(j, "dead-rev", rv)
-				}
-			}
-		}
+	if st.KernelNanos == 0 {
+		t.Error("kernel time telemetry not recorded")
 	}
-	t.Logf("query %s: audited %d dropped pairs and %d dead directions of surviving pairs, %d unsound",
-		alias, dropped, deadDirs, unsound)
-	if unsound > 0 {
-		t.Errorf("query %s: prefilter skipped %d pair-directions with nonzero true VCP:\n%s",
-			alias, unsound, strings.Join(examples, "\n"))
+	if st.KernelInstrs == 0 || st.KernelPrefixInstrs == 0 {
+		t.Errorf("hoisting telemetry empty: prefix=%d total=%d", st.KernelPrefixInstrs, st.KernelInstrs)
 	}
+	t.Logf("%d γ, %.1fms in the kernel; hoisted %d/%d instrs (%.1f%%)",
+		st.VerifierCorrespondences, float64(st.KernelNanos)/1e6,
+		st.KernelPrefixInstrs, st.KernelInstrs, 100*float64(st.KernelPrefixInstrs)/float64(st.KernelInstrs))
+}
+
+// TestGammaBatchDifferential is the end-to-end γ-batch guard: the width
+// only changes how many correspondences ride in one kernel dispatch, so
+// production at width vcp.GammaBatch must count γ exactly as the scalar
+// oracle does, and the batch accounting must be consistent with the
+// width (every flush carries at least one and at most vcp.GammaBatch
+// rows). The other widths are pinned inside package vcp.
+func TestGammaBatchDifferential(t *testing.T) {
+	fx := loadDiffFixture(t)
+	st := fx.db.Stats()
+	if st.VerifierCorrespondences != uint64(fx.work.gamma) {
+		t.Errorf("γ count %d diverges from the oracle's %d", st.VerifierCorrespondences, fx.work.gamma)
+	}
+	if st.GammaBatches == 0 {
+		t.Fatal("batch telemetry not recorded")
+	}
+	if st.GammaBatchRows < st.GammaBatches {
+		t.Errorf("%d rows < %d batches", st.GammaBatchRows, st.GammaBatches)
+	}
+	if st.GammaBatchRows > st.GammaBatches*vcp.GammaBatch {
+		t.Errorf("%d rows over %d batches exceeds the width %d", st.GammaBatchRows, st.GammaBatches, vcp.GammaBatch)
+	}
+	t.Logf("%d γ over %d batches (%d rows, mean occupancy %.2f)",
+		st.VerifierCorrespondences, st.GammaBatches, st.GammaBatchRows,
+		float64(st.GammaBatchRows)/float64(st.GammaBatches*vcp.GammaBatch))
 }

@@ -167,18 +167,18 @@ func FromExport(ex *Export) (*DB, error) {
 	}
 	db.rebuildSketches(sigs)
 
-	// Adopt the persisted probe table when present and consistent with
-	// the summaries just rebuilt; otherwise fall back to rebuilding it
-	// (pre-v4 snapshots, banding overridden at load, or a corrupt
-	// table). Eager only under probe mode — scan-mode databases build
-	// the table lazily if it is ever needed.
-	if ex.Retrieval != nil {
-		if rx, err := sketch.FromTable(*ex.Retrieval, db.sums, db.sketchCfg); err == nil {
-			db.retr = rx
+	// With the band-collision tier on, adopt the persisted probe table
+	// when present and consistent with the summaries just rebuilt, and
+	// fall back to rebuilding it (pre-v4 snapshots, or a corrupt table)
+	// — either way before the DB serves its first query. Without the
+	// tier nothing reads the table, so a persisted one is left unloaded.
+	if db.sketchCfg.MinContainment > 0 {
+		if ex.Retrieval != nil {
+			if rx, err := sketch.FromTable(*ex.Retrieval, db.sums, db.sketchCfg); err == nil {
+				db.retr = rx
+			}
 		}
-	}
-	if db.opts.Retrieval == RetrievalProbe && db.retr == nil {
-		db.retr = sketch.BuildRetrieval(db.sums, db.sketchCfg)
+		db.ensureRetrievalLocked()
 	}
 
 	// Per-target multiplicities: all-or-nothing per snapshot (the v3

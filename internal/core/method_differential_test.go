@@ -12,7 +12,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/vcp"
 )
 
 // Esh and S-LOG read only the forward VCP direction, so a query asking
@@ -20,43 +19,14 @@ import (
 // needs. That is an optimisation, not a new scoring path: forward-only
 // GES and S-LOG must be Float64bits-identical to Query (all three
 // methods), and an S-VCP query on a cache warmed by forward-only
-// queries — which fills in the missing reverse slots — must reproduce a
-// fresh database's S-VCP to the bit. This file is that differential
-// harness, across every engine mode and the live write path.
-
-// methodModes are the engine modes the method differential runs under:
-// every combination of retrieval, prefilter and kernel, all at sound
-// settings (bit-identical to the scan/off/batch reference). Probe mode
-// takes its candidates from the retrieval table instead of the scan
-// prefilter, so it runs once per kernel.
-func methodModes() []struct {
-	name string
-	opts Options
-} {
-	var modes []struct {
-		name string
-		opts Options
-	}
-	for _, retr := range []string{RetrievalScan, RetrievalProbe} {
-		for _, pf := range []string{PrefilterOff, PrefilterLSH} {
-			if retr == RetrievalProbe && pf == PrefilterLSH {
-				continue
-			}
-			for _, kern := range []string{vcp.KernelScalar, vcp.KernelBatch} {
-				opts := Options{Retrieval: retr, Prefilter: pf}
-				opts.VCP.Kernel = kern
-				modes = append(modes, struct {
-					name string
-					opts Options
-				}{retr + "/" + pf + "/" + kern, opts})
-			}
-		}
-	}
-	return modes
-}
+// queries — which fills in the missing reverse slots — must reproduce
+// the exhaustive oracle's S-VCP to the bit. This file is that
+// differential harness, on a static corpus and across the live write
+// path.
 
 // requireForwardMatch fails unless got (a forward-only report) carries
-// no S-VCP and ranks and scores Esh and S-LOG bit-identically to want.
+// no S-VCP and ranks and scores Esh and S-LOG bit-identically to want
+// (which may carry S-VCP).
 func requireForwardMatch(t *testing.T, label string, got, want *Report) {
 	t.Helper()
 	if got.HasSVCP {
@@ -116,7 +86,7 @@ func methodQueries(t *testing.T) []*asm.Proc {
 }
 
 // methodCorpus is a one-toolchain compiled corpus, cut to n procedures
-// (0: all) to bound the scalar-kernel runs.
+// (0: all) to bound the oracle runs.
 func methodCorpus(t *testing.T, n int) []*asm.Proc {
 	t.Helper()
 	tc, ok := compile.ByName("gcc-4.9")
@@ -139,90 +109,91 @@ func TestMethodDifferential(t *testing.T) {
 	}
 	procs := methodCorpus(t, 48)
 	queries := methodQueries(t)
-	var err error
+	ctx := context.Background()
 
-	ref := NewDB(Options{})
-	fillDB(t, ref, procs)
+	full := NewDB(Options{})
+	fillDB(t, full, procs)
+	o := newOracle(full)
 	want := make([]*Report, len(queries))
 	for i, q := range queries {
-		if want[i], err = ref.Query(q); err != nil {
+		want[i] = o.query(t, q, stats.SVCP)
+		rep, err := full.Query(q)
+		if err != nil {
 			t.Fatal(err)
 		}
+		requireOracleMatch(t, q.Name+"/full", rep, want[i])
+	}
+	if len(o.work.unsound) > 0 {
+		t.Fatalf("%d skipped directions have nonzero true VCP: %s", len(o.work.unsound), o.work.unsound[0])
 	}
 
-	for _, mode := range methodModes() {
-		t.Run(mode.name, func(t *testing.T) {
-			ctx := context.Background()
-			full := NewDB(mode.opts)
-			fillDB(t, full, procs)
-			for i, q := range queries {
-				rep, err := full.Query(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireAllMatch(t, fmt.Sprintf("%s/full", q.Name), rep, want[i])
+	db := NewDB(Options{})
+	fillDB(t, db, procs)
+	for _, m := range []stats.Method{stats.Esh, stats.SLOG} {
+		for i, q := range queries {
+			rep, err := db.QueryCtx(ctx, q, m)
+			if err != nil {
+				t.Fatal(err)
 			}
+			requireForwardMatch(t, fmt.Sprintf("%s/%v", q.Name, m), rep, want[i])
+		}
+	}
+	fwd := db.Stats()
+	for i, q := range queries {
+		rep, err := db.QueryCtx(ctx, q, stats.SVCP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllMatch(t, q.Name+"/svcp-after-esh", rep, want[i])
+	}
+	// A cache row whose reverse slot is now filled serves both methods
+	// without further verifier work.
+	before := db.Stats().VerifierCalls
+	for i, q := range queries {
+		rep, err := db.QueryCtx(ctx, q, stats.Esh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireForwardMatch(t, q.Name+"/esh-warm", rep, want[i])
+		if rep, err = db.QueryCtx(ctx, q, stats.SVCP); err != nil {
+			t.Fatal(err)
+		}
+		requireAllMatch(t, q.Name+"/svcp-warm", rep, want[i])
+	}
+	if after := db.Stats().VerifierCalls; after != before {
+		t.Fatalf("warm repeats made %d verifier calls", after-before)
+	}
 
-			db := NewDB(mode.opts)
-			fillDB(t, db, procs)
-			for _, m := range []stats.Method{stats.Esh, stats.SLOG} {
-				for i, q := range queries {
-					rep, err := db.QueryCtx(ctx, q, m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireForwardMatch(t, fmt.Sprintf("%s/%v", q.Name, m), rep, want[i])
-				}
-			}
-			fwd := db.Stats()
-			for i, q := range queries {
-				rep, err := db.QueryCtx(ctx, q, stats.SVCP)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireAllMatch(t, q.Name+"/svcp-after-esh", rep, want[i])
-			}
-			// A cache row whose reverse slot is now filled serves both
-			// methods without further verifier work.
-			before := db.Stats().VerifierCalls
-			for i, q := range queries {
-				rep, err := db.QueryCtx(ctx, q, stats.Esh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireForwardMatch(t, q.Name+"/esh-warm", rep, want[i])
-				if rep, err = db.QueryCtx(ctx, q, stats.SVCP); err != nil {
-					t.Fatal(err)
-				}
-				requireAllMatch(t, q.Name+"/svcp-warm", rep, want[i])
-			}
-			if after := db.Stats().VerifierCalls; after != before {
-				t.Fatalf("warm repeats made %d verifier calls", after-before)
-			}
-
-			// Forward-only queries ran strictly less verifier work, and
-			// the fill-in ran exactly the reverse directions: together
-			// they add up to the work of computing both directions at
-			// once, call for call and γ for γ.
-			all, split := full.Stats(), db.Stats()
-			if fwd.VerifierCalls >= all.VerifierCalls || fwd.VerifierCorrespondences >= all.VerifierCorrespondences {
-				t.Fatalf("forward-only work %d calls / %d γ, both directions %d / %d",
-					fwd.VerifierCalls, fwd.VerifierCorrespondences, all.VerifierCalls, all.VerifierCorrespondences)
-			}
-			if split.VerifierCalls != all.VerifierCalls ||
-				split.VerifierCorrespondences != all.VerifierCorrespondences ||
-				split.GammaCapped != all.GammaCapped {
-				t.Fatalf("forward + fill-in = %d calls / %d γ / %d capped, both directions %d / %d / %d",
-					split.VerifierCalls, split.VerifierCorrespondences, split.GammaCapped,
-					all.VerifierCalls, all.VerifierCorrespondences, all.GammaCapped)
-			}
-		})
+	// Forward-only queries ran strictly less verifier work, and the
+	// fill-in ran exactly the reverse directions: together they add up
+	// to the work of computing both directions at once — call for call
+	// and γ for γ, which is also the oracle's account of it.
+	all, split := full.Stats(), db.Stats()
+	if fwd.VerifierCalls >= all.VerifierCalls || fwd.VerifierCorrespondences >= all.VerifierCorrespondences {
+		t.Fatalf("forward-only work %d calls / %d γ, both directions %d / %d",
+			fwd.VerifierCalls, fwd.VerifierCorrespondences, all.VerifierCalls, all.VerifierCorrespondences)
+	}
+	if split.VerifierCalls != all.VerifierCalls ||
+		split.VerifierCorrespondences != all.VerifierCorrespondences ||
+		split.GammaCapped != all.GammaCapped {
+		t.Fatalf("forward + fill-in = %d calls / %d γ / %d capped, both directions %d / %d / %d",
+			split.VerifierCalls, split.VerifierCorrespondences, split.GammaCapped,
+			all.VerifierCalls, all.VerifierCorrespondences, all.GammaCapped)
+	}
+	if all.VerifierCalls != uint64(o.work.live) || all.VerifierCorrespondences != uint64(o.work.gamma) ||
+		all.GammaCapped != uint64(o.work.capped) {
+		t.Fatalf("both directions %d calls / %d γ / %d capped, oracle %d / %d / %d",
+			all.VerifierCalls, all.VerifierCorrespondences, all.GammaCapped,
+			o.work.live, o.work.gamma, o.work.capped)
 	}
 }
 
 // TestMethodDifferentialWrites runs the same forward-only and fill-in
 // checks after live adds, tombstones and compactions, against a fresh
-// rebuild of the surviving targets.
+// rebuild of the surviving targets and — on the exact path ("scan"),
+// before and after the writes — against the exhaustive oracle over the
+// live corpus. The "probe" runs put the band-collision tier through the
+// same script; its answers must match a fresh rebuild just as exactly.
 func TestMethodDifferentialWrites(t *testing.T) {
 	scripts := []struct {
 		name string
@@ -238,13 +209,18 @@ func TestMethodDifferentialWrites(t *testing.T) {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				ctx := context.Background()
 				opts := writeTestOptions(mode)
-				live := NewDB(opts)
+				live := newLiveDB(opts)
 				// Warm the cache with forward-only rows before the writes
 				// too, so compaction carries NaN reverse slots along.
 				applyScript(t, live, sc.ops[:len(sc.ops)/2], false)
-				for _, qsrc := range queries {
-					if _, err := live.QueryCtx(ctx, parse(t, qsrc), stats.Esh); err != nil {
+				for qi, qsrc := range queries {
+					q := parse(t, qsrc)
+					got, err := live.QueryCtx(ctx, q, stats.Esh)
+					if err != nil {
 						t.Fatal(err)
+					}
+					if mode == "scan" {
+						requireForwardMatch(t, fmt.Sprintf("query %d esh before writes", qi), got, newOracle(live).query(t, q, stats.SVCP))
 					}
 				}
 				applyScript(t, live, sc.ops[len(sc.ops)/2:], false)
@@ -264,6 +240,9 @@ func TestMethodDifferentialWrites(t *testing.T) {
 						t.Fatal(err)
 					}
 					requireAllMatch(t, fmt.Sprintf("query %d svcp", qi), got, want)
+					if mode == "scan" {
+						requireOracleMatch(t, fmt.Sprintf("query %d svcp", qi), got, newOracle(live).query(t, q, stats.SVCP))
+					}
 				}
 				if live.Stats().VerifierCalls == 0 {
 					t.Fatal("no verifier work; the harness is vacuous")

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/sketch"
 	"repro/internal/stats"
 	"repro/internal/vcp"
 )
@@ -126,5 +127,40 @@ func TestWorkersOption(t *testing.T) {
 		if r1.Results[i].GES != r4.Results[i].GES {
 			t.Fatal("worker count changed scores")
 		}
+	}
+}
+
+// TestBandCollisionTableBuiltEagerly: turning the band-collision tier on
+// at serve time, or changing the sketch geometry while it is on, builds
+// the retrieval table before ConfigurePrefilter returns — the first
+// query must not build it under the configuration write lock, stalling
+// every concurrent query — and turning the tier off drops it.
+func TestBandCollisionTableBuiltEagerly(t *testing.T) {
+	db := buildDB(t)
+	if st := db.Stats(); st.RetrievalTableBuckets != 0 {
+		t.Fatalf("retrieval table resident with the tier off (%d buckets)", st.RetrievalTableBuckets)
+	}
+	db.ConfigurePrefilter(0, 0, sketch.SuggestedMinContainment)
+	if st := db.Stats(); st.RetrievalTableBuckets == 0 {
+		t.Fatal("enabling the tier left the retrieval table unbuilt")
+	}
+	db.ConfigurePrefilter(12, 6, -1)
+	st := db.Stats()
+	if st.RetrievalTableBuckets == 0 || st.LSHBands != 12 || st.LSHRows != 6 {
+		t.Fatalf("geometry change left %d buckets at %dx%d", st.RetrievalTableBuckets, st.LSHBands, st.LSHRows)
+	}
+	builds := db.hRetrBuild.Count()
+	if _, err := db.Query(parse(t, gccStyle)); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.hRetrBuild.Count(); got != builds {
+		t.Fatalf("the first query built the retrieval table (%d builds, %d before)", got, builds)
+	}
+	if db.Stats().RetrievalProbes == 0 {
+		t.Fatal("the query did not probe the retrieval table")
+	}
+	db.ConfigurePrefilter(0, 0, 0)
+	if st := db.Stats(); st.RetrievalTableBuckets != 0 {
+		t.Fatalf("turning the tier off left the retrieval table resident (%d buckets)", st.RetrievalTableBuckets)
 	}
 }

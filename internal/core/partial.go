@@ -20,8 +20,9 @@ import (
 //
 //   - Rows: VCP(query strand, target strand) is a per-pair computation;
 //     a shard computes exactly the columns for the strands it holds,
-//     bitwise equal to the same columns on a single node (kernel and
-//     prefilter decisions are per-pair deterministic).
+//     bitwise equal to the same columns on a single node (the
+//     injectability skip and the band-collision probe are per-pair
+//     deterministic).
 //   - PartialScore.MaxVCP: a max over the target's own strands — every
 //     input lives on the target's shard.
 //   - PartialScore.SVCP (S-VCP queries only): a sum over the target's

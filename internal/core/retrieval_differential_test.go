@@ -1,207 +1,142 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"strings"
+	"slices"
+	"sync"
 	"testing"
 
-	"repro/internal/asm"
 	"repro/internal/compile"
 	"repro/internal/corpus"
 	"repro/internal/sketch"
 	"repro/internal/stats"
 )
 
-// Probe-mode retrieval is an optimisation, not a new ranking method:
-// at sound settings (no heuristic containment tier) the probe table
-// must hand the verifier exactly the pairs the exhaustive scan would
-// have scored nonzero, so every score — not just every rank — comes
-// out bit-identical. The heuristic tier trades recall for sublinear
-// candidate lookup; its top-k agreement against the exhaustive scan is
-// pinned here so a regression shows up as a test failure, not as a
-// silent recall cliff in production.
+// The band-collision tier is the one opt-in that changes rankings: it
+// trades recall for candidate lookup whose cost does not grow with the
+// corpus. Its candidate sets are pinned exactly (against the
+// brute-force rule), and its top-k agreement with the exhaustive oracle
+// is pinned above a floor, so a regression shows up as a test failure,
+// not as a silent recall cliff in production.
 
+// heuristicFixture is the differential corpus indexed with the
+// band-collision tier on, with the differential queries answered by it.
+type heuristicFixture struct {
+	db  *DB
+	got []*Report
+}
+
+var (
+	heurOnce sync.Once
+	heurFix  *heuristicFixture
+)
+
+func loadHeuristicFixture(t *testing.T) (*diffFixture, *heuristicFixture) {
+	t.Helper()
+	fx := loadDiffFixture(t)
+	heurOnce.Do(func() {
+		hf := &heuristicFixture{db: NewDB(Options{LSHMinContainment: sketch.SuggestedMinContainment})}
+		fillDB(t, hf.db, fx.procs)
+		for _, q := range fx.queries {
+			rep, err := hf.db.Query(q)
+			if err != nil {
+				t.Fatalf("query %s (band-collision tier): %v", q.Name, err)
+			}
+			hf.got = append(hf.got, rep)
+		}
+		heurFix = hf
+	})
+	if heurFix == nil {
+		t.Fatal("band-collision fixture failed to build")
+	}
+	return fx, heurFix
+}
+
+// TestRetrievalDifferential pins the band-collision tier's candidate
+// sets: for every unique query strand the retrieval table must return
+// exactly the brute-force set (band collision ∩ injectability), the
+// engine must score exactly those candidates (the retrieved-candidate
+// counter equals the brute-force total), and the tier must do no more
+// verifier work than the exhaustive path.
 func TestRetrievalDifferential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential retrieval run is slow")
-	}
-	procs := buildDiffCorpus(t)
-
-	dbScan := NewDB(Options{})
-	dbProbe := NewDB(Options{Retrieval: RetrievalProbe})
-	fillDB(t, dbScan, procs)
-	fillDB(t, dbProbe, procs)
-
-	qtc, ok := compile.ByName("clang-3.5")
-	if !ok {
-		t.Fatal("query toolchain missing")
-	}
-	vulns := corpus.Vulns()
-	if len(vulns) > 3 {
-		vulns = vulns[:3]
-	}
-	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
-		if err != nil {
-			t.Fatalf("compile query %s: %v", v.Alias, err)
-		}
-		repScan, err := dbScan.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (scan): %v", v.Alias, err)
-		}
-		repProbe, err := dbProbe.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (probe): %v", v.Alias, err)
-		}
-		compareReportsExact(t, v.Alias, repScan, repProbe)
-		auditProbeCandidates(t, dbProbe, q, v.Alias)
-	}
-
-	scanCalls := dbScan.Stats().VerifierCalls
-	probeCalls := dbProbe.Stats().VerifierCalls
-	if probeCalls == 0 {
-		t.Fatal("probe-mode run made no verifier calls; harness is vacuous")
-	}
-	if probeCalls > scanCalls {
-		t.Errorf("probe mode made more verifier calls than the exhaustive scan: %d vs %d", probeCalls, scanCalls)
-	}
-	ps := dbProbe.Stats()
-	if ps.RetrievalProbes == 0 || ps.RetrievalCandidates == 0 {
-		t.Errorf("probe counters did not move: probes=%d candidates=%d", ps.RetrievalProbes, ps.RetrievalCandidates)
-	}
-	t.Logf("verifier calls: scan=%d probe=%d (%.1f%% saved); %d probes, %d candidates",
-		scanCalls, probeCalls, 100*(1-float64(probeCalls)/float64(scanCalls)),
-		ps.RetrievalProbes, ps.RetrievalCandidates)
-}
-
-// compareReportsExact demands bit-identical scores in identical order —
-// the strongest statement of "same computation, different loop shape".
-func compareReportsExact(t *testing.T, alias string, a, b *Report) {
-	t.Helper()
-	if len(a.Results) != len(b.Results) {
-		t.Errorf("query %s: %d results under scan, %d under probe", alias, len(a.Results), len(b.Results))
-		return
-	}
-	var diffs []string
-	for i := range a.Results {
-		ra, rb := a.Results[i], b.Results[i]
-		if ra.Target.Name != rb.Target.Name ||
-			math.Float64bits(ra.SVCP) != math.Float64bits(rb.SVCP) ||
-			math.Float64bits(ra.SLOG) != math.Float64bits(rb.SLOG) ||
-			math.Float64bits(ra.GES) != math.Float64bits(rb.GES) {
-			diffs = append(diffs, fmt.Sprintf(
-				"  rank %3d: scan %-52s GES=%.9f | probe %-52s GES=%.9f",
-				i+1, ra.Target.Name, ra.GES, rb.Target.Name, rb.GES))
-		}
-	}
-	if len(diffs) > 0 {
-		if len(diffs) > 8 {
-			diffs = diffs[:8]
-		}
-		t.Errorf("query %s: probe-mode scores are not bit-identical to scan at sound settings:\n%s",
-			alias, strings.Join(diffs, "\n"))
-	}
-}
-
-// auditProbeCandidates recomputes the ground-truth sound candidate set
-// for every unique query strand and demands the probe table return
-// exactly it: a missing strand would silently zero a pair the scan
-// scores, an extra one would waste verifier calls (and at sound
-// settings both are bugs, not tradeoffs).
-func auditProbeCandidates(t *testing.T, db *DB, q *asm.Proc, alias string) {
-	t.Helper()
-	kept, _, err := decompose(q, db.opts)
-	if err != nil {
-		t.Fatalf("decompose %s: %v", alias, err)
-	}
+	fx, hf := loadHeuristicFixture(t)
+	db := hf.db
+	cfg := db.SketchConfig()
 	rx := db.RetrievalIndex()
 	scratch := make([]bool, rx.Len())
-	seen := map[string]bool{}
-	audited, want := 0, map[int32]bool{}
-	for _, s := range kept {
-		key := s.CanonicalKey()
-		if seen[key] {
-			continue
+	want := 0
+	for _, q := range fx.queries {
+		kept, _, err := decompose(q, db.opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[key] = true
-		qSum := sketch.Summarize(s, db.sketchCfg)
-		clear(want)
-		for j := range db.sums {
-			if qSum.Injects(db.sums[j]) || db.sums[j].Injects(qSum) {
-				want[int32(j)] = true
+		seen := map[string]bool{}
+		for _, s := range kept {
+			key := s.CanonicalKey()
+			if seen[key] {
+				continue
 			}
-		}
-		ids, sound := rx.Probe(qSum, scratch, nil)
-		if sound != len(want) {
-			t.Errorf("query %s: strand probe reports %d sound candidates, brute force finds %d", alias, sound, len(want))
-		}
-		if len(ids) != len(want) {
-			t.Errorf("query %s: strand probe returned %d candidates, brute force finds %d", alias, len(ids), len(want))
-		}
-		for _, id := range ids {
-			if !want[id] {
-				t.Errorf("query %s: probe returned strand %d, which is not injectability-live", alias, id)
+			seen[key] = true
+			qSum := sketch.Summarize(s, cfg)
+			brute := map[int32]bool{}
+			for j, u := range db.sums {
+				if !qSum.Injects(u) && !u.Injects(qSum) {
+					continue
+				}
+				for b := 0; b < cfg.Bands; b++ {
+					if slices.Equal(qSum.Sig[b*cfg.Rows:(b+1)*cfg.Rows], u.Sig[b*cfg.Rows:(b+1)*cfg.Rows]) {
+						brute[int32(j)] = true
+						break
+					}
+				}
 			}
+			ids, _ := rx.Probe(qSum, scratch, nil)
+			if len(ids) != len(brute) {
+				t.Errorf("query %s: probe returned %d candidates, brute force finds %d", q.Name, len(ids), len(brute))
+			}
+			for _, id := range ids {
+				if !brute[id] {
+					t.Errorf("query %s: probe returned strand %d, which shares no band or cannot inject", q.Name, id)
+				}
+			}
+			want += len(brute)
 		}
-		audited++
 	}
-	t.Logf("query %s: audited probe candidate sets of %d unique strands", alias, audited)
+	st := db.Stats()
+	if st.RetrievalCandidates != uint64(want) {
+		t.Errorf("engine retrieved %d candidates, brute force finds %d", st.RetrievalCandidates, want)
+	}
+	if st.RetrievalProbes == 0 || st.RetrievalTableBuckets == 0 {
+		t.Errorf("probe counters did not move: probes=%d buckets=%d", st.RetrievalProbes, st.RetrievalTableBuckets)
+	}
+	exact := fx.db.Stats().VerifierCalls
+	if st.VerifierCalls > exact {
+		t.Errorf("the band-collision tier made more verifier calls than the exhaustive path: %d vs %d", st.VerifierCalls, exact)
+	}
+	t.Logf("verifier calls: exact=%d band-collision=%d (%.1f%% saved); %d probes, %d candidates of %d live",
+		exact, st.VerifierCalls, 100*(1-float64(st.VerifierCalls)/float64(exact)),
+		st.RetrievalProbes, st.RetrievalCandidates, st.RetrievalSoundCandidates)
 }
 
-// TestRetrievalHeuristicRecall pins the recall of the heuristic probe
-// tier against the exhaustive scan: band-bucket retrieval may drop
-// pairs the scan's containment estimate would rescue, so top-k is not
-// guaranteed identical — but it must stay close, and any change to the
-// banding or probe rule that craters it fails here first.
+// TestRetrievalHeuristicRecall pins the recall of the band-collision
+// tier against the exhaustive oracle: band-bucket retrieval drops pairs
+// with no band collision, so top-k is not guaranteed identical — but it
+// must stay close, and any change to the banding or probe rule that
+// craters it fails here first.
 func TestRetrievalHeuristicRecall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("differential retrieval run is slow")
-	}
-	procs := buildDiffCorpus(t)
-
-	dbScan := NewDB(Options{})
-	dbProbe := NewDB(Options{
-		Retrieval:         RetrievalProbe,
-		Prefilter:         PrefilterLSH,
-		LSHMinContainment: sketch.SuggestedMinContainment,
-	})
-	fillDB(t, dbScan, procs)
-	fillDB(t, dbProbe, procs)
-
-	qtc, ok := compile.ByName("clang-3.5")
-	if !ok {
-		t.Fatal("query toolchain missing")
-	}
+	fx, hf := loadHeuristicFixture(t)
 	const topK = 10
 	const minRecall = 0.7
-	vulns := corpus.Vulns()
-	if len(vulns) > 3 {
-		vulns = vulns[:3]
-	}
-	for _, v := range vulns {
-		q, err := corpus.CompileVuln(v, qtc, false)
-		if err != nil {
-			t.Fatalf("compile query %s: %v", v.Alias, err)
-		}
-		repScan, err := dbScan.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (scan): %v", v.Alias, err)
-		}
-		repProbe, err := dbProbe.Query(q)
-		if err != nil {
-			t.Fatalf("query %s (probe): %v", v.Alias, err)
-		}
+	for i, q := range fx.queries {
 		truth := map[string]bool{}
-		for i, ts := range repScan.Rank(stats.Esh) {
-			if i >= topK {
+		for r, ts := range fx.want[i].Rank(stats.Esh) {
+			if r >= topK {
 				break
 			}
 			truth[ts.Target.Name] = true
 		}
 		hits := 0
-		for i, ts := range repProbe.Rank(stats.Esh) {
-			if i >= topK {
+		for r, ts := range hf.got[i].Rank(stats.Esh) {
+			if r >= topK {
 				break
 			}
 			if truth[ts.Target.Name] {
@@ -209,16 +144,16 @@ func TestRetrievalHeuristicRecall(t *testing.T) {
 			}
 		}
 		recall := float64(hits) / float64(len(truth))
-		t.Logf("query %s: heuristic probe top-%d recall %.2f (%d/%d)", v.Alias, topK, recall, hits, len(truth))
+		t.Logf("query %s: band-collision top-%d recall %.2f (%d/%d)", q.Name, topK, recall, hits, len(truth))
 		if recall < minRecall {
-			t.Errorf("query %s: heuristic probe top-%d recall %.2f below %.2f", v.Alias, topK, recall, minRecall)
+			t.Errorf("query %s: band-collision top-%d recall %.2f below %.2f", q.Name, topK, recall, minRecall)
 		}
 	}
 }
 
 // TestProbeScalingSmoke is the sublinearity check behind the whole
 // exercise, sized for CI: growing the corpus by a decoy factor must
-// grow probe-mode verifier work per query by much less. The full 8×
+// grow band-collision verifier work per query by much less. The full 8×
 // curve lives in BenchmarkQueryScale; this smoke asserts the shape.
 func TestProbeScalingSmoke(t *testing.T) {
 	if testing.Short() {
@@ -242,8 +177,6 @@ func TestProbeScalingSmoke(t *testing.T) {
 			t.Fatal(err)
 		}
 		db := NewDB(Options{
-			Retrieval:         RetrievalProbe,
-			Prefilter:         PrefilterLSH,
 			LSHBands:          12,
 			LSHRows:           6,
 			LSHMinContainment: sketch.SuggestedMinContainment,

@@ -149,15 +149,12 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		news = append(news, pending{prep: prep, sum: sum})
 	}
 
-	// Heavy shared-structure rebuilds, still outside cfgMu: novel
-	// strands force a fresh LSH index (sketch.Index is not safe to
-	// mutate under concurrent Candidates readers), and a stale-enough
-	// probe table is rebuilt eagerly rather than growing the per-query
-	// delta overlay without bound.
+	// Heavy shared-structure rebuilds, still outside cfgMu: a
+	// stale-enough probe table is rebuilt eagerly rather than growing
+	// the per-query delta overlay without bound.
 	var (
 		newUniq  []*vcp.Prepared
 		newSums  []sketch.Summary
-		newIdx   *sketch.Index
 		newRetr  *sketch.RetrievalIndex
 		haveRetr bool
 	)
@@ -170,19 +167,13 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 			newUniq = append(newUniq, pd.prep)
 			newSums = append(newSums, pd.sum)
 		}
-		newIdx = sketch.NewIndex(db.sketchCfg)
-		for _, sum := range newSums {
-			newIdx.Add(sum)
-		}
 		if db.retr != nil {
 			maxDelta := db.opts.RetrievalMaxDelta
 			if maxDelta == 0 {
 				maxDelta = DefaultRetrievalMaxDelta
 			}
 			if db.retr.Stale(len(newSums), maxDelta) {
-				start := time.Now()
-				newRetr = sketch.BuildRetrieval(newSums, db.sketchCfg)
-				db.hRetrBuild.Observe(time.Since(start).Seconds())
+				newRetr = db.buildRetrieval(newSums, db.sketchCfg)
 				haveRetr = true
 			}
 		}
@@ -209,7 +200,6 @@ func (db *DB) applyAdd(p *asm.Proc, journal bool, replaySeq uint64) (uint64, err
 		}
 		db.uniq = newUniq
 		db.sums = newSums
-		db.sketchIdx = newIdx
 		if haveRetr {
 			db.retr = newRetr
 		}
@@ -465,24 +455,16 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 		}
 	}
 
-	// Rebuild the derived structures over the remapped corpus (outside
-	// cfgMu — queries keep running on the old state). The LSH index and
-	// probe table depend on strand numbering, so a non-identity remap
-	// invalidates both.
-	newIdx := db.sketchIdx
+	// Rebuild the probe table over the remapped corpus (outside cfgMu —
+	// queries keep running on the old state). It depends on strand
+	// numbering, so a non-identity remap invalidates it.
 	newRetr := db.retr
 	if !lv.identity {
-		newIdx = sketch.NewIndex(db.sketchCfg)
-		for _, sum := range lv.sums {
-			newIdx.Add(sum)
-		}
 		newRetr = nil
 	}
-	if (db.retr != nil || db.opts.Retrieval == RetrievalProbe) &&
+	if (db.retr != nil || db.sketchCfg.MinContainment > 0) &&
 		(newRetr == nil || newRetr.Len() != len(lv.sums)) {
-		rStart := time.Now()
-		newRetr = sketch.BuildRetrieval(lv.sums, db.sketchCfg)
-		db.hRetrBuild.Observe(time.Since(rStart).Seconds())
+		newRetr = db.buildRetrieval(lv.sums, db.sketchCfg)
 	}
 
 	db.cfgMu.Lock()
@@ -492,7 +474,6 @@ func (db *DB) Compact(persist func(*Export) error, cleanup func(hwm uint64) erro
 	db.byKey = lv.byKey
 	db.targets = lv.targets
 	db.total = lv.total
-	db.sketchIdx = newIdx
 	db.retr = newRetr
 	db.sketchGen++ // stale snapshots must not adopt a remapped table
 	db.live = nil

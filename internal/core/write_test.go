@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/sketch"
 	"repro/internal/vcp"
 	"repro/internal/wal"
 )
@@ -123,6 +124,16 @@ func survivors(t *testing.T, ops []wop) []string {
 	return out
 }
 
+// newLiveDB returns an empty database for the live write path, set up
+// the way eshd does at startup: ConfigurePrefilter builds the retrieval
+// table when the band-collision tier is on, so every later write lands
+// in the table's live-write overlay until a rebuild.
+func newLiveDB(opts Options) *DB {
+	db := NewDB(opts)
+	db.ConfigurePrefilter(0, 0, -1)
+	return db
+}
+
 func buildFresh(t *testing.T, opts Options, srcs []string) *DB {
 	t.Helper()
 	db := NewDB(opts)
@@ -158,12 +169,15 @@ func diffReports(t *testing.T, label string, got, want *Report) {
 	}
 }
 
+// writeTestOptions returns the options of a write-differential mode:
+// "scan" is the exact stage 3 that walks every target strand, "probe"
+// the band-collision tier, whose candidates come from the retrieval
+// table plus its live-write overlay. Either way a live-written corpus
+// must answer bit-identically to a fresh rebuild of its survivors.
 func writeTestOptions(mode string) Options {
 	opts := Options{VCP: vcp.Config{MinVars: 3}}
 	if mode == "probe" {
-		// Sound tier only: the probe differential claim is bit-identity,
-		// which the heuristic tier deliberately trades away.
-		opts.Retrieval = RetrievalProbe
+		opts.LSHMinContainment = sketch.SuggestedMinContainment
 	}
 	return opts
 }
@@ -189,7 +203,7 @@ func TestWriteDifferential(t *testing.T) {
 		for _, sc := range scripts {
 			t.Run(mode+"/"+sc.name, func(t *testing.T) {
 				opts := writeTestOptions(mode)
-				live := NewDB(opts)
+				live := newLiveDB(opts)
 				applyScript(t, live, sc.ops, false)
 				fresh := buildFresh(t, opts, survivors(t, sc.ops))
 
@@ -208,6 +222,15 @@ func TestWriteDifferential(t *testing.T) {
 						t.Fatalf("query %d (fresh): %v", qi, err)
 					}
 					diffReports(t, fmt.Sprintf("query %d", qi), got, want)
+				}
+				// Neither database queried before, so both ran the same
+				// pairs: the live corpus (and, under the band-collision
+				// tier, the table's live-write overlay) must not score a
+				// pair a fresh rebuild would not.
+				if lw, fw := live.Stats(), fresh.Stats(); lw.VerifierCalls != fw.VerifierCalls ||
+					lw.VerifierCorrespondences != fw.VerifierCorrespondences {
+					t.Fatalf("live corpus ran %d verifier calls / %d γ, fresh rebuild %d / %d",
+						lw.VerifierCalls, lw.VerifierCorrespondences, fw.VerifierCalls, fw.VerifierCorrespondences)
 				}
 			})
 		}
@@ -260,7 +283,7 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 						ops = append(ops, compactOp())
 					}
 				}
-				live := NewDB(opts)
+				live := newLiveDB(opts)
 				applyScript(t, live, ops, true)
 				fresh := buildFresh(t, opts, survivors(t, ops))
 				for _, qsrc := range []string{genProc(rng.Intn(next + 1)), gccStyle} {
@@ -280,17 +303,18 @@ func TestWriteDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestWriteDifferentialEagerRebuild forces the probe path's eager
-// retrieval-table rebuild (RetrievalMaxDelta=1 rebuilds on nearly every
-// add) and the deferred path (negative leaves the delta to the overlay
-// until compaction); both must stay bit-identical.
+// TestWriteDifferentialEagerRebuild forces the band-collision tier's
+// eager retrieval-table rebuild (RetrievalMaxDelta=1 rebuilds on nearly
+// every add) and the deferred path (negative leaves the delta to the
+// overlay until compaction); both must stay bit-identical to a fresh
+// rebuild.
 func TestWriteDifferentialEagerRebuild(t *testing.T) {
 	for _, maxDelta := range []int{1, -1} {
 		t.Run(fmt.Sprintf("maxdelta=%d", maxDelta), func(t *testing.T) {
 			opts := writeTestOptions("probe")
 			opts.RetrievalMaxDelta = maxDelta
 			ops := append(append(synthOps(1, 2, 3), delOp("synth_2")), synthOps(4, 5)...)
-			live := NewDB(opts)
+			live := newLiveDB(opts)
 			applyScript(t, live, ops, false)
 			fresh := buildFresh(t, writeTestOptions("probe"), survivors(t, ops))
 			q := parse(t, gccStyle)

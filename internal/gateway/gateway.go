@@ -249,11 +249,8 @@ func New(cfg Config) (*Gateway, error) {
 		func() float64 { return time.Since(g.started).Seconds() })
 	g.reg.Gauge("esh_process_start_time_seconds",
 		"Unix time the process started.").Set(float64(g.started.UnixNano()) / 1e9)
-	g.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
-		"go_version", runtime.Version(),
-		"kernel", cfg.Manifest.Kernel,
-		"prefilter", cfg.Manifest.Prefilter,
-		"retrieval", cfg.Manifest.Retrieval).Set(1)
+	g.reg.Gauge("esh_build_info", "Build information (value is always 1).",
+		"go_version", runtime.Version()).Set(1)
 
 	g.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
 	g.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)
@@ -456,12 +453,11 @@ func (e *FleetError) Error() string {
 }
 
 // CheckFleet asks every replica for /v1/stats and verifies it against
-// the manifest: fleet generation, shard coordinates, and snapshot
-// checksum must match exactly (a mismatch means merged scores would be
-// silently wrong); kernel and prefilter mode mismatches are
-// score-neutral by the differential suites, so they come back as
-// warnings, not errors.
-func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []error) {
+// the manifest: fleet generation, shard coordinates, snapshot checksum
+// and sigmoid k must match exactly, and no replica may have drifted
+// through live writes (any mismatch means merged scores would be
+// silently wrong).
+func (g *Gateway) CheckFleet(ctx context.Context) (errs []error) {
 	man := g.cfg.Manifest
 	for i, reps := range g.cfg.Shards {
 		for _, u := range reps {
@@ -488,29 +484,9 @@ func (g *Gateway) CheckFleet(ctx context.Context) (warnings []string, errs []err
 			if st.Engine.SigmoidK != man.SigmoidK {
 				errs = append(errs, &FleetError{i, u, fmt.Errorf("sigmoid k=%g, manifest says %g", st.Engine.SigmoidK, man.SigmoidK)})
 			}
-			if st.Engine.Kernel != man.Kernel {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): kernel %q, manifest built with %q (score-neutral)", i, u, st.Engine.Kernel, man.Kernel))
-			}
-			if st.Prefilter.Mode != man.Prefilter {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): prefilter %q, manifest built with %q (score-neutral)", i, u, st.Prefilter.Mode, man.Prefilter))
-			}
-			// Pre-retrieval manifests and replicas report "", which
-			// means scan — normalize so mixed-age fleets don't warn.
-			if got, want := retrMode(st.Retrieval.Mode), retrMode(man.Retrieval); got != want {
-				warnings = append(warnings, fmt.Sprintf("shard %d (%s): retrieval %q, manifest built with %q (score-neutral)", i, u, got, want))
-			}
 		}
 	}
-	return warnings, errs
-}
-
-// retrMode canonicalizes a retrieval-mode string: an empty value (a
-// pre-retrieval snapshot, manifest, or replica) means core.RetrievalScan.
-func retrMode(m string) string {
-	if m == "" {
-		return "scan"
-	}
-	return m
+	return errs
 }
 
 func (g *Gateway) fetchStats(ctx context.Context, base string) (*server.StatsResponse, error) {

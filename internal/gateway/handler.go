@@ -120,9 +120,6 @@ func (g *Gateway) record(rid, outcome, errMsg string, start time.Time, root *tel
 		Outcome:    outcome,
 		Err:        errMsg,
 		Generation: man.Generation,
-		Kernel:     man.Kernel,
-		Prefilter:  man.Prefilter,
-		Retrieval:  man.Retrieval,
 	}
 	rec.FillFromTrace(root.Snapshot())
 	rec.Shards = make([]telemetry.ShardOutcome, len(replies))

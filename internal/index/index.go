@@ -49,9 +49,12 @@ import (
 // lets a restarting daemon skip already-folded journal records) and the
 // retrmaxdelta option key. Older versions still load: signatures are
 // recomputed, multiplicities default to 1, the probe table is rebuilt
-// from the strands (deterministically, so probe-mode answers are
+// from the strands (deterministically, so band-collision answers are
 // identical either way), and generation and high-water mark default to
-// zero (replay everything).
+// zero (replay everything). The prefilter, kernel, retrieval and
+// gammabatch option keys named engine modes that no longer exist:
+// snapshots stopped writing them within version 5, and the loader
+// ignores them.
 const (
 	Magic      = "eshidx"
 	Version    = 5
@@ -297,11 +300,10 @@ func codeType(c int) (ivl.Type, error) {
 func encodeBody(ex *core.Export) []byte {
 	var b bytes.Buffer
 	o := ex.Opts
-	fmt.Fprintf(&b, "options workers=%d sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d prefilter=%s lshbands=%d lshrows=%d lshmincont=%s kernel=%s retrieval=%s retrmaxdelta=%d gammabatch=%d\n",
+	fmt.Fprintf(&b, "options workers=%d sigmoidk=%s pathlen=%d pathmaxblocks=%d cachepairs=%d vcpsamples=%d vcpminvars=%d vcpsizeratio=%s vcpmaxcorr=%d lshbands=%d lshrows=%d lshmincont=%s retrmaxdelta=%d\n",
 		o.Workers, ftoa(o.SigmoidK), o.PathLen, o.PathMaxBlocks, o.VCPCachePairs,
 		o.VCP.Samples, o.VCP.MinVars, ftoa(o.VCP.SizeRatio), o.VCP.MaxCorrespondences,
-		o.Prefilter, o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.VCP.Kernel, o.Retrieval,
-		o.RetrievalMaxDelta, o.VCP.GammaBatch)
+		o.LSHBands, o.LSHRows, ftoa(o.LSHMinContainment), o.RetrievalMaxDelta)
 
 	// Shard identity (format version 3). All zero/empty for an unsharded
 	// corpus.
@@ -341,7 +343,7 @@ func encodeBody(ex *core.Export) []byte {
 	}
 
 	// Sketch section (format version 2): per-strand MinHash signatures
-	// so a load can rebuild the LSH prefilter without recomputing
+	// so a load can rebuild the sketch summaries without recomputing
 	// features. Written empty (count 0) when any signature is missing
 	// or inconsistent; the loader recomputes in that case.
 	cfg := sketch.Config{Bands: ex.Opts.LSHBands, Rows: ex.Opts.LSHRows}.Normalized()
@@ -400,11 +402,12 @@ func encodeBody(ex *core.Export) []byte {
 	}
 
 	// Retrieval section (format version 4): the probe table's band
-	// posting slabs with their own checksum, so a load can adopt the
-	// table instead of re-sorting it. Written empty (count 0) when the
-	// table was never built, or disagrees with the snapshot's strand
-	// count or banding; the loader rebuilds in that case (the table is
-	// a deterministic function of the strands, so answers match).
+	// posting slabs with their own checksum, so a load with the
+	// band-collision tier on can adopt the table instead of re-sorting
+	// it. Written empty (count 0) when the table was never built (the
+	// tier is off), or disagrees with the snapshot's strand count or
+	// banding; the loader rebuilds in that case (the table is a
+	// deterministic function of the strands, so answers match).
 	rt := ex.Retrieval
 	if rt != nil && (rt.N != len(ex.Strands) || rt.Bands != cfg.Bands || rt.Rows != cfg.Rows) {
 		rt = nil
@@ -815,25 +818,19 @@ func (d *decoder) decodeOptions(ex *core.Export) error {
 			ex.Opts.VCP.SizeRatio = atof()
 		case "vcpmaxcorr":
 			ex.Opts.VCP.MaxCorrespondences = atoi()
-		case "prefilter":
-			ex.Opts.Prefilter = val
 		case "lshbands":
 			ex.Opts.LSHBands = atoi()
 		case "lshrows":
 			ex.Opts.LSHRows = atoi()
 		case "lshmincont":
 			ex.Opts.LSHMinContainment = atof()
-		case "kernel":
-			ex.Opts.VCP.Kernel = val
-		case "retrieval":
-			ex.Opts.Retrieval = val
 		case "retrmaxdelta":
 			ex.Opts.RetrievalMaxDelta = atoi()
-		case "gammabatch":
-			ex.Opts.VCP.GammaBatch = atoi()
 		default:
 			// Unknown keys are ignored so minor option additions do not
-			// invalidate old readers within a format version.
+			// invalidate old readers within a format version — and so
+			// snapshots carrying the retired engine-mode keys (prefilter,
+			// kernel, retrieval, gammabatch) still load.
 		}
 		if ierr != nil {
 			return d.errf("bad option value %q: %v", kv, ierr)

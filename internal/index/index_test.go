@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/sketch"
 	"repro/internal/vcp"
 )
 
@@ -146,9 +148,10 @@ func TestRoundTripStable(t *testing.T) {
 
 func TestOptionsPersist(t *testing.T) {
 	db := core.NewDB(core.Options{
-		VCP:      vcp.Config{MinVars: 3, SizeRatio: 0.25, GammaBatch: 16},
-		SigmoidK: 7.5,
-		PathLen:  2,
+		VCP:               vcp.Config{MinVars: 3, SizeRatio: 0.25},
+		SigmoidK:          7.5,
+		PathLen:           2,
+		RetrievalMaxDelta: 7,
 	})
 	if err := db.AddTarget(parse(t, iccStyle)); err != nil {
 		t.Fatal(err)
@@ -160,50 +163,58 @@ func TestOptionsPersist(t *testing.T) {
 	got, want := db2.Options(), db.Options()
 	if got.SigmoidK != want.SigmoidK || got.PathLen != want.PathLen ||
 		got.VCP.MinVars != want.VCP.MinVars || got.VCP.SizeRatio != want.VCP.SizeRatio ||
-		got.VCP.GammaBatch != 16 {
+		got.RetrievalMaxDelta != 7 {
 		t.Fatalf("options %+v, want %+v", got, want)
 	}
 }
 
-// TestGammaBatchOptionCompat: snapshots written before the gammabatch
-// option existed must still load — the unknown-key-tolerant options
-// decoder leaves the width zero and NewDB normalizes it to the default.
-func TestGammaBatchOptionCompat(t *testing.T) {
-	snap := saveBytes(t, buildDB(t))
+// rewriteOptions rewrites the options line of a snapshot through edit
+// and re-seals the header, so a test can synthesize a snapshot another
+// writer could have produced.
+func rewriteOptions(t *testing.T, snap []byte, edit func(toks []string) []string) []byte {
+	t.Helper()
 	nl := bytes.IndexByte(snap, '\n')
 	if nl < 0 {
 		t.Fatal("snapshot has no header line")
 	}
-	var out []string
-	stripped := false
-	for _, ln := range strings.Split(string(snap[nl+1:]), "\n") {
+	lines := strings.Split(string(snap[nl+1:]), "\n")
+	for i, ln := range lines {
 		if tag, _, _ := strings.Cut(ln, " "); tag == "options" {
-			var kept []string
-			for _, tok := range strings.Fields(ln) {
-				if strings.HasPrefix(tok, "gammabatch=") {
-					stripped = true
-					continue
-				}
-				kept = append(kept, tok)
-			}
-			ln = strings.Join(kept, " ")
+			lines[i] = strings.Join(edit(strings.Fields(ln)), " ")
 		}
-		out = append(out, ln)
 	}
-	if !stripped {
-		t.Fatal("snapshot options line does not carry gammabatch=")
-	}
-	body := strings.Join(out, "\n")
+	body := strings.Join(lines, "\n")
 	sum := sha256.Sum256([]byte(body))
-	old := fmt.Sprintf("%s %d %d %s\n%s", Magic, Version, len(body), hex.EncodeToString(sum[:]), body)
+	return []byte(fmt.Sprintf("%s %d %d %s\n%s", Magic, Version, len(body), hex.EncodeToString(sum[:]), body))
+}
 
-	db2, err := Load(strings.NewReader(old))
-	if err != nil {
-		t.Fatalf("load pre-gammabatch snapshot: %v", err)
+// retiredOptionKeys are the option keys of the engine modes that no
+// longer exist, at the non-default values an old writer could emit.
+var retiredOptionKeys = []string{"prefilter=off", "kernel=scalar", "retrieval=probe", "gammabatch=1"}
+
+// TestGammaBatchOptionCompat: snapshots written while the engine had
+// selectable modes carry their option keys (gammabatch, prefilter,
+// kernel, retrieval). They must still load, answer Float64bits-
+// identically to a fresh build of the same corpus (none of the modes
+// ever changed a ranking), and re-save without the keys — the same
+// bytes a fresh build saves.
+func TestGammaBatchOptionCompat(t *testing.T) {
+	snap := saveBytes(t, buildDB(t))
+	for _, key := range retiredOptionKeys {
+		name, _, _ := strings.Cut(key, "=")
+		if bytes.Contains(snap, []byte(" "+name+"=")) {
+			t.Fatalf("a fresh snapshot still writes the retired %s key", name)
+		}
 	}
-	if got := db2.Options().VCP.GammaBatch; got != vcp.DefaultGammaBatch {
-		t.Fatalf("GammaBatch after old-snapshot load = %d, want default %d",
-			got, vcp.DefaultGammaBatch)
+	old := rewriteOptions(t, snap, func(toks []string) []string { return append(toks, retiredOptionKeys...) })
+
+	db2, err := Load(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("load a snapshot with retired option keys: %v", err)
+	}
+	compareQueries(t, buildDB(t), db2)
+	if resaved := saveBytes(t, db2); !bytes.Equal(resaved, snap) {
+		t.Fatal("re-saving a snapshot with retired option keys does not reproduce a fresh snapshot")
 	}
 }
 
@@ -263,12 +274,12 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// buildProbeDB is buildDB in probe retrieval mode, which makes Export
-// carry the built probe table so the snapshot exercises the version-4
-// retrieval section.
+// buildProbeDB is buildDB with the band-collision tier on, which makes
+// Export carry the probe table once it is built, so the snapshot
+// exercises the version-4 retrieval section.
 func buildProbeDB(t *testing.T) *core.DB {
 	t.Helper()
-	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, Retrieval: core.RetrievalProbe})
+	db := core.NewDB(core.Options{VCP: vcp.Config{MinVars: 3}, LSHMinContainment: sketch.SuggestedMinContainment})
 	for _, src := range []string{iccStyle, memStyle} {
 		if err := db.AddTarget(parse(t, src)); err != nil {
 			t.Fatal(err)
@@ -278,9 +289,9 @@ func buildProbeDB(t *testing.T) *core.DB {
 }
 
 // TestRetrievalTableRoundTrip checks the version-4 retrieval section:
-// a probe-mode save persists the table, a load adopts it byte-for-byte
-// (same slab checksum as the builder produced), and the re-saved
-// snapshot is a fixed point.
+// a band-collision save persists the table, a load adopts it
+// byte-for-byte (same slab checksum as the builder produced) before any
+// query runs, and the re-saved snapshot is a fixed point.
 func TestRetrievalTableRoundTrip(t *testing.T) {
 	db := buildProbeDB(t)
 	want := db.RetrievalIndex().Checksum()
@@ -291,7 +302,7 @@ func TestRetrievalTableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ex.Retrieval == nil {
-		t.Fatal("probe-mode snapshot did not persist the retrieval table")
+		t.Fatal("band-collision snapshot did not persist the retrieval table")
 	}
 	if ex.Retrieval.N != len(ex.Strands) {
 		t.Fatalf("persisted table covers %d strands, snapshot has %d", ex.Retrieval.N, len(ex.Strands))
@@ -304,18 +315,21 @@ func TestRetrievalTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if db2.Stats().RetrievalTableBuckets == 0 {
+		t.Fatal("load did not adopt the retrieval table before the first query")
+	}
 	if got := db2.RetrievalIndex().Checksum(); got != want {
 		t.Fatalf("adopted table checksum %016x, want %016x", got, want)
 	}
 	if snap2 := saveBytes(t, db2); !bytes.Equal(snap, snap2) {
-		t.Fatal("probe-mode snapshot is not a save/load fixed point")
+		t.Fatal("band-collision snapshot is not a save/load fixed point")
 	}
 	compareQueries(t, db, db2)
 }
 
 // downgrade rewrites a current-version snapshot as an older format:
-// it strips the sections (and option keys) that version did not have
-// and recomputes the header. This is how the compat tests synthesize
+// it strips the sections that version did not have and recomputes the
+// header. This is how the compat tests synthesize
 // genuine old snapshots without checking in binary fixtures.
 func downgrade(t *testing.T, snap []byte, version int) []byte {
 	t.Helper()
@@ -327,14 +341,6 @@ func downgrade(t *testing.T, snap []byte, version int) []byte {
 	for _, ln := range strings.Split(string(snap[nl+1:]), "\n") {
 		tag, _, _ := strings.Cut(ln, " ")
 		switch {
-		case tag == "options" && version < 4:
-			var kept []string
-			for _, tok := range strings.Fields(ln) {
-				if !strings.HasPrefix(tok, "retrieval=") {
-					kept = append(kept, tok)
-				}
-			}
-			ln = strings.Join(kept, " ")
 		case version < 5 && tag == "wal":
 			continue
 		case version < 4 && (tag == "retrieval" || tag == "rd" || tag == "rk" || tag == "ro" || tag == "ri"):
@@ -352,7 +358,7 @@ func downgrade(t *testing.T, snap []byte, version int) []byte {
 // TestOldVersionsLoad checks that version-2 and version-3 snapshots
 // (no retrieval section, and for v2 no shard/multiplicity records)
 // still load, and that the probe table rebuilt from their strands is
-// identical to the one a current snapshot persists — so probe-mode
+// identical to the one a current snapshot persists — so band-collision
 // answers do not depend on the snapshot's age.
 func TestOldVersionsLoad(t *testing.T) {
 	db := buildProbeDB(t)
@@ -371,6 +377,9 @@ func TestOldVersionsLoad(t *testing.T) {
 		db2, err := Load(bytes.NewReader(old))
 		if err != nil {
 			t.Fatalf("load v%d: %v", v, err)
+		}
+		if db2.Stats().RetrievalTableBuckets == 0 {
+			t.Fatalf("v%d: load did not rebuild the retrieval table before the first query", v)
 		}
 		if db2.NumTargets() != db.NumTargets() || db2.NumUniqueStrands() != db.NumUniqueStrands() {
 			t.Fatalf("v%d: reloaded shape %d/%d, want %d/%d", v,
@@ -401,7 +410,8 @@ func compareQueries(t *testing.T, db, db2 *core.DB) {
 		}
 		for i := range r1.Results {
 			a, b := r1.Results[i], r2.Results[i]
-			if a.Target.Name != b.Target.Name || a.GES != b.GES || a.SLOG != b.SLOG || a.SVCP != b.SVCP {
+			if a.Target.Name != b.Target.Name || math.Float64bits(a.GES) != math.Float64bits(b.GES) ||
+				math.Float64bits(a.SLOG) != math.Float64bits(b.SLOG) || math.Float64bits(a.SVCP) != math.Float64bits(b.SVCP) {
 				t.Fatalf("rank %d: (%s %v %v %v) vs (%s %v %v %v)",
 					i, a.Target.Name, a.GES, a.SLOG, a.SVCP, b.Target.Name, b.GES, b.SLOG, b.SVCP)
 			}

@@ -28,7 +28,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
-	"repro/internal/vcp"
 	"repro/internal/wal"
 )
 
@@ -176,11 +175,8 @@ func New(db *core.DB, cfg Config) *Server {
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.reg.Gauge("esh_process_start_time_seconds",
 		"Unix time the process started.").Set(float64(s.started.UnixNano()) / 1e9)
-	s.reg.Gauge("esh_build_info", "Build and engine configuration (value is always 1).",
-		"go_version", runtime.Version(),
-		"kernel", db.Options().VCP.Kernel,
-		"prefilter", db.Options().Prefilter,
-		"retrieval", db.Options().Retrieval).Set(1)
+	s.reg.Gauge("esh_build_info", "Build information (value is always 1).",
+		"go_version", runtime.Version()).Set(1)
 
 	s.rec = telemetry.NewRecorder(cfg.RecorderSize, cfg.SlowLogSize, cfg.SlowQueryThreshold)
 	s.lat = telemetry.NewQuantiles(latencyQuantiles[:]...)
@@ -388,7 +384,6 @@ func (s *Server) count(result string) { s.outcomes[result].Inc() }
 // Only queries that reached the engine are recorded; bad_input and
 // rejected requests never ran and leave no record.
 func (s *Server) record(kind, rid, outcome, errMsg string, start time.Time, root *telemetry.Span) {
-	opts := s.db.Options()
 	rec := &telemetry.QueryRecord{
 		ID:         rid,
 		Kind:       kind,
@@ -396,34 +391,9 @@ func (s *Server) record(kind, rid, outcome, errMsg string, start time.Time, root
 		Outcome:    outcome,
 		Err:        errMsg,
 		Generation: s.db.Shard().Generation,
-		Kernel:     opts.VCP.Kernel,
-		Prefilter:  opts.Prefilter,
-		Retrieval:  opts.Retrieval,
 	}
 	snap := root.Snapshot()
 	rec.FillFromTrace(snap)
-	// The vcp span carries the entry-time engine configuration, which
-	// beats the live options under concurrent reconfiguration.
-	if v := snap.Find("vcp"); v != nil {
-		if kb, ok := v.Attrs["kernel_batch"]; ok {
-			rec.Kernel = vcp.KernelScalar
-			if kb != 0 {
-				rec.Kernel = vcp.KernelBatch
-			}
-		}
-		if pf, ok := v.Attrs["prefilter_lsh"]; ok {
-			rec.Prefilter = core.PrefilterOff
-			if pf != 0 {
-				rec.Prefilter = core.PrefilterLSH
-			}
-		}
-		if rp, ok := v.Attrs["retrieval_probe"]; ok {
-			rec.Retrieval = core.RetrievalScan
-			if rp != 0 {
-				rec.Retrieval = core.RetrievalProbe
-			}
-		}
-	}
 	if s.rec.Record(rec) {
 		s.slowQ.Inc()
 		s.cfg.Logger.Warn("slow query",
@@ -957,25 +927,21 @@ type StatsResponse struct {
 		Misses    uint64  `json:"misses"`
 		HitRate   float64 `json:"hit_rate"`
 	} `json:"vcp_cache"`
-	// Prefilter reports the LSH sketch prefilter: active mode, sketch
-	// geometry, the heuristic-tier containment threshold (0 = sound
-	// tier only), and how much work it removed before the verifier —
-	// whole pairs skipped plus single dead directions of surviving
-	// pairs (cumulative across queries).
+	// Prefilter reports the sketch geometry, the band-collision tier
+	// setting (0 = off), and how much work the injectability test
+	// removed before the verifier — whole pairs skipped plus single
+	// dead directions of surviving pairs (cumulative across queries).
 	Prefilter struct {
-		Mode           string  `json:"mode"`
 		LSHBands       int     `json:"lsh_bands"`
 		LSHRows        int     `json:"lsh_rows"`
 		MinContainment float64 `json:"min_containment"`
 		PairsSkipped   uint64  `json:"pairs_skipped"`
 		DeadDirections uint64  `json:"dead_directions"`
 	} `json:"prefilter"`
-	// Retrieval reports stage-3 candidate retrieval: the active mode
-	// ("scan" walks every unique strand per query strand, "probe" looks
-	// candidates up in the ANN table), cumulative probe counters, and
-	// the probe table's shape (zeros until the table is built).
+	// Retrieval reports the band-collision tier's cumulative probe
+	// counters and the probe table's shape (zeros while the tier is
+	// off).
 	Retrieval struct {
-		Mode            string  `json:"mode"`
 		Probes          uint64  `json:"probes"`
 		Candidates      uint64  `json:"candidates"`
 		SoundCandidates uint64  `json:"sound_candidates"`
@@ -986,8 +952,9 @@ type StatsResponse struct {
 	} `json:"retrieval"`
 	// Engine aggregates pipeline work across all queries: verifier
 	// effort (with the directions that hit the γ cap), pruning
-	// effectiveness, evaluation-kernel mode and time, γ-invariant
-	// hoisting coverage, and cumulative per-stage wall time.
+	// effectiveness, evaluation-kernel time and γ-batch flushes,
+	// γ-invariant hoisting coverage, and cumulative per-stage wall
+	// time.
 	Engine struct {
 		Queries                 uint64             `json:"queries"`
 		PairsPruned             uint64             `json:"pairs_pruned"`
@@ -995,11 +962,9 @@ type StatsResponse struct {
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
 		GammaCapped             uint64             `json:"gamma_capped"`
 		SigmoidK                float64            `json:"sigmoid_k"`
-		Kernel                  string             `json:"kernel"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
 		KernelPrefixInstrs      uint64             `json:"kernel_prefix_instrs"`
 		KernelInstrs            uint64             `json:"kernel_instrs"`
-		GammaBatch              int                `json:"gamma_batch"`
 		GammaBatches            uint64             `json:"gamma_batches"`
 		GammaBatchRows          uint64             `json:"gamma_batch_rows"`
 		StageSeconds            map[string]float64 `json:"stage_seconds"`
@@ -1076,13 +1041,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.VCPCache.Hits = dbs.VCPCacheHits
 	resp.VCPCache.Misses = dbs.VCPCacheMisses
 	resp.VCPCache.HitRate = dbs.VCPCacheHitRate()
-	resp.Prefilter.Mode = dbs.Prefilter
 	resp.Prefilter.LSHBands = dbs.LSHBands
 	resp.Prefilter.LSHRows = dbs.LSHRows
 	resp.Prefilter.MinContainment = dbs.LSHMinContainment
 	resp.Prefilter.PairsSkipped = dbs.LSHPairsSkipped
 	resp.Prefilter.DeadDirections = dbs.LSHDeadDirections
-	resp.Retrieval.Mode = dbs.Retrieval
 	resp.Retrieval.Probes = dbs.RetrievalProbes
 	resp.Retrieval.Candidates = dbs.RetrievalCandidates
 	resp.Retrieval.SoundCandidates = dbs.RetrievalSoundCandidates
@@ -1096,11 +1059,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
 	resp.Engine.GammaCapped = dbs.GammaCapped
 	resp.Engine.SigmoidK = s.db.Options().SigmoidK
-	resp.Engine.Kernel = dbs.Kernel
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9
 	resp.Engine.KernelPrefixInstrs = dbs.KernelPrefixInstrs
 	resp.Engine.KernelInstrs = dbs.KernelInstrs
-	resp.Engine.GammaBatch = dbs.GammaBatch
 	resp.Engine.GammaBatches = dbs.GammaBatches
 	resp.Engine.GammaBatchRows = dbs.GammaBatchRows
 	resp.Engine.StageSeconds = dbs.StageSeconds

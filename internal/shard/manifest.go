@@ -33,8 +33,7 @@ func ftoa(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 func WriteManifest(w io.Writer, m *Manifest) error {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "generation %s\n", strconv.Quote(m.Generation))
-	fmt.Fprintf(&b, "opts sigmoidk=%s kernel=%s prefilter=%s lshmincont=%s retrieval=%s\n",
-		ftoa(m.SigmoidK), m.Kernel, m.Prefilter, ftoa(m.LSHMinContainment), m.Retrieval)
+	fmt.Fprintf(&b, "opts sigmoidk=%s lshmincont=%s\n", ftoa(m.SigmoidK), ftoa(m.LSHMinContainment))
 	fmt.Fprintf(&b, "targets %d\n", m.NumTargets)
 	fmt.Fprintf(&b, "counts %d", len(m.Counts))
 	for _, c := range m.Counts {
@@ -207,14 +206,12 @@ func decodeManifest(body []byte) (*Manifest, error) {
 		switch key {
 		case "sigmoidk":
 			m.SigmoidK, err = strconv.ParseFloat(val, 64)
-		case "kernel":
-			m.Kernel = val
-		case "prefilter":
-			m.Prefilter = val
 		case "lshmincont":
 			m.LSHMinContainment, err = strconv.ParseFloat(val, 64)
-		case "retrieval":
-			m.Retrieval = val
+		default:
+			// Unknown keys are ignored, among them the retired
+			// engine-mode keys (kernel, prefilter, retrieval) older
+			// manifests carry.
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: manifest: bad option %q: %w", kv, err)

@@ -35,17 +35,11 @@ type Manifest struct {
 	// snapshot's header before encoding, so a snapshot and a manifest
 	// can vouch for each other without a checksum cycle.
 	Generation string
-	// SigmoidK, Kernel, Prefilter, LSHMinContainment and Retrieval
-	// record the engine options the corpus was built with. SigmoidK and
-	// LSHMinContainment affect scores, so a coordinator refuses shards
-	// reporting different values; Kernel, Prefilter (sound mode) and
-	// Retrieval do not — the differential suites enforce it — so
-	// mismatches there are only warnings.
+	// SigmoidK and LSHMinContainment record the score-affecting engine
+	// options the corpus was built with; a coordinator refuses shards
+	// reporting a different SigmoidK.
 	SigmoidK          float64
-	Kernel            string
-	Prefilter         string
 	LSHMinContainment float64
-	Retrieval         string
 	// Counts[g] is the union corpus's multiplicity of global unique
 	// strand g — the exact weights of the single-node H0 estimate.
 	Counts []int
@@ -114,10 +108,7 @@ func Split(ex *core.Export, n int) (*Manifest, []*core.Export, error) {
 
 	man := &Manifest{
 		SigmoidK:          ex.Opts.SigmoidK,
-		Kernel:            ex.Opts.VCP.Kernel,
-		Prefilter:         ex.Opts.Prefilter,
 		LSHMinContainment: ex.Opts.LSHMinContainment,
-		Retrieval:         ex.Opts.Retrieval,
 		Counts:            make([]int, len(ex.Strands)),
 		NumTargets:        len(ex.Targets),
 		Shards:            make([]ShardEntry, n),

@@ -3,6 +3,8 @@ package shard
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -357,6 +359,22 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(man, got) {
 		t.Fatalf("manifest round trip:\nwant %+v\ngot  %+v", man, got)
+	}
+	// A manifest written while the engine had selectable modes carries
+	// their option keys; it must still parse, to the same manifest.
+	body := bytes.SplitN(buf.Bytes(), []byte("\n"), 2)[1]
+	if bytes.Contains(body, []byte("kernel=")) || bytes.Contains(body, []byte("prefilter=")) || bytes.Contains(body, []byte("retrieval=")) {
+		t.Fatal("a fresh manifest still writes retired engine-mode keys")
+	}
+	body = bytes.Replace(body, []byte("opts sigmoidk="), []byte("opts kernel=scalar prefilter=off retrieval=probe sigmoidk="), 1)
+	sum := sha256.Sum256(body)
+	old := append([]byte(fmt.Sprintf("%s %d %d %s\n", ManifestMagic, ManifestVersion, len(body), hex.EncodeToString(sum[:]))), body...)
+	got, err = ReadManifest(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("manifest with retired option keys rejected: %v", err)
+	}
+	if !reflect.DeepEqual(man, got) {
+		t.Fatalf("manifest with retired option keys:\nwant %+v\ngot  %+v", man, got)
 	}
 	// Corruption must be detected.
 	raw := buf.Bytes()

@@ -39,12 +39,13 @@ func strandFromText(src string) *strand.Strand {
 	return s
 }
 
-// FuzzSketch asserts the sketch invariants the prefilter depends on for
+// FuzzSketch asserts the sketch invariants the filters depend on for
 // any valid strand: Compute is deterministic, the signature is exactly
 // Bands*Rows long with no panics, Features is deterministic and
-// strictly sorted, and a strand added to an index is always a candidate
-// of its own signature (self-recall — without it, identical strands
-// could be prefiltered away).
+// strictly sorted, and a strand in a retrieval table is always a
+// candidate of its own summary — by the brute-force rule (band
+// collision ∩ injectability) and by Probe alike (self-recall — without
+// it, identical strands could be filtered away).
 func FuzzSketch(f *testing.F) {
 	f.Add("(a + b)")
 	f.Add("(x * 0x21); (v0 ^ (v0 >>u 0x7)); load64(m, (p + 0x8))")
@@ -81,11 +82,12 @@ func FuzzSketch(f *testing.F) {
 			if !sum.Injects(sum) {
 				t.Fatal("summary does not inject into itself")
 			}
-			ix := NewIndex(cfg)
-			id := ix.Add(sum)
-			mark := make([]bool, ix.Len())
-			if ix.Candidates(sum, mark); !mark[id] {
-				t.Fatal("strand is not a candidate of its own summary")
+			if !bruteCandidate(cfg, sum, sum) {
+				t.Fatal("strand is not a brute-force candidate of its own summary")
+			}
+			rx := BuildRetrieval([]Summary{sum}, cfg)
+			if ids, _ := rx.Probe(sum, make([]bool, 1), nil); len(ids) != 1 || ids[0] != 0 {
+				t.Fatalf("strand does not retrieve itself: probe returned %v", ids)
 			}
 		}
 	})

@@ -1,31 +1,16 @@
-// Retrieval index: the LSH sketches promoted from a per-pair prefilter
-// to a top-level ANN structure probed at query time. Where Index walks
-// every indexed summary and asks "is this pair a candidate?", the
-// RetrievalIndex inverts the loop: posting lists keyed by typed-input
-// class and by LSH band bucket are built once over all target strands,
+// Retrieval index: the band-collision tier's candidate source. Posting
+// lists keyed by LSH band bucket are built once over all target strands,
 // and a query strand probes them for its candidate set without touching
 // the rest of the corpus.
 //
-// The probe rule mirrors the candidate rule's two tiers:
-//
-// Sound tier (MinContainment == 0): candidates are exactly the strands
-// whose typed input counts inject into the query's or vice versa — the
-// union of the live typed-input classes. Typed counts partition strands
-// into few classes (one per distinct (ints, mems) pair), so the probe
-// enumerates classes, not strands, and returns the same set Candidates
-// would mark: rankings stay byte-identical to the exhaustive loop.
-//
-// Heuristic tier (MinContainment > 0): candidates are exactly the
-// strands sharing at least one band bucket with the query, filtered to
-// the injectability-live set. This is a strict subset of the scan-mode
-// heuristic rule, which additionally rescues non-colliding pairs via
-// the containment estimate and always-passes small-feature-set strands
-// on either side. None of those escapes has a sublinear analogue —
-// each is a per-target decision that needs the full scan, so keeping
-// any of them would make the candidate set grow linearly with the
-// corpus and defeat the probe. An identical target strand still always
-// self-retrieves — identical signatures collide in every band — and
-// the resulting recall gap is pinned by the differential harness.
+// A probe returns exactly the injectability-live strands that share at
+// least one band bucket with the query. An identical target strand
+// always self-retrieves — identical signatures collide in every band —
+// and the recall gap against the exhaustive walk is pinned by the
+// differential harness in internal/core. The table also keeps the
+// typed-input classes (one per distinct (ints, mems) pair), so a probe
+// can report the size of the injectability-live set it drew from
+// without enumerating it.
 //
 // All posting lists live in flat slabs ([]int32 id runs addressed by
 // offset) rather than per-bucket map slices: the table is immutable
@@ -37,12 +22,10 @@ import (
 	"sort"
 )
 
-// retrClass is one typed-input class: the strands whose inputs are
-// exactly nInt bitvectors and nMem memories. Posting lists are disjoint
-// across classes (each strand has one typed-count pair).
+// retrClass is one typed-input class: the n strands whose inputs are
+// exactly nInt bitvectors and nMem memories.
 type retrClass struct {
-	nInt, nMem int32
-	off, n     int32 // posting run classIDs[off : off+n]
+	nInt, nMem, n int32
 }
 
 // RetrievalIndex is an immutable probe table over strand summaries.
@@ -52,14 +35,12 @@ type RetrievalIndex struct {
 	cfg Config
 	n   int
 
-	// Sound tier: typed-input classes, sorted by (nInt, nMem), with
-	// one flat id slab.
-	classes  []retrClass
-	classIDs []int32
+	// Typed-input classes, in no particular order.
+	classes []retrClass
 
-	// Heuristic tier: per-band sorted bucket directories over one flat
-	// id slab. Band b's buckets are bandKeys[bandDir[b]:bandDir[b+1]]
-	// (sorted, unique); bucket i's posting run is
+	// Per-band sorted bucket directories over one flat id slab. Band
+	// b's buckets are bandKeys[bandDir[b]:bandDir[b+1]] (sorted,
+	// unique); bucket i's posting run is
 	// bandIDs[bandOffs[i]:bandOffs[i+1]] (bandOffs has a final
 	// sentinel).
 	bandDir  []int32
@@ -67,22 +48,13 @@ type RetrievalIndex struct {
 	bandOffs []int32
 	bandIDs  []int32
 
-	// small lists the strands the scan-mode heuristic would always pass
-	// (NFeat <= SmallSetFeatures). The probe does NOT consult it — an
-	// always-pass list is a linear floor on candidate-set growth — but
-	// its size is surfaced through Stats as a recall-gap indicator.
-	small []int32
-
-	// Typed counts and feature-set sizes in SoA form for the probe's
-	// liveness filter.
-	nInt, nMem, nFeat []int32
+	// Typed counts in SoA form for the probe's liveness filter.
+	nInt, nMem []int32
 
 	checksum uint64
 }
 
-// bandKeyFor hashes one band's rows of a signature. Shared with
-// Index.bandKey so the scan-mode index and the retrieval table always
-// bucket identically.
+// bandKeyFor hashes one band's rows of a signature.
 func bandKeyFor(sig Signature, rows, b int) uint64 {
 	h := uint64(14695981039346656037) ^ uint64(b)<<32
 	for _, v := range sig[b*rows : (b+1)*rows] {
@@ -99,27 +71,14 @@ func bandKeyFor(sig Signature, rows, b int) uint64 {
 func BuildRetrieval(sums []Summary, cfg Config) *RetrievalIndex {
 	cfg = cfg.Normalized()
 	k := cfg.Len()
-	rx := &RetrievalIndex{
-		cfg:   cfg,
-		n:     len(sums),
-		nInt:  make([]int32, len(sums)),
-		nMem:  make([]int32, len(sums)),
-		nFeat: make([]int32, len(sums)),
-	}
-	for id, s := range sums {
+	rx := &RetrievalIndex{cfg: cfg, n: len(sums)}
+	for _, s := range sums {
 		if len(s.Sig) != k {
 			panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
 				len(s.Sig), cfg.Bands, cfg.Rows))
 		}
-		rx.nInt[id] = int32(s.NInt)
-		rx.nMem[id] = int32(s.NMem)
-		rx.nFeat[id] = int32(s.NFeat)
-		if s.NFeat <= SmallSetFeatures {
-			rx.small = append(rx.small, int32(id))
-		}
 	}
-
-	rx.rebuildClasses()
+	rx.setCounts(sums)
 
 	// Band buckets: sort (key, id) pairs per band, then cut runs into
 	// the shared slab.
@@ -175,25 +134,33 @@ func (rx *RetrievalIndex) Stale(total, maxDelta int) bool {
 
 // ProbeDelta extends a Probe result with the delta overlay: strands
 // with ids in [Len(), len(sums)) — written live after the table was
-// built; the corpus arrays are append-only within a generation — are
-// tested by the same typed-input injectability criterion the sound
-// tier stores, skipping ids whose counts entry is zero (tombstoned
-// remnants). ids must be a Probe result over this table, so the
-// returned slice stays sorted and duplicate-free (all delta ids are
-// larger than any table id). Returns the extended ids and the number
-// of sound candidates appended. The overlay is a superset guarantee
-// for the heuristic tier (every delta strand passes, band-collision
-// untested) and exact for the sound tier, so sound-tier rankings stay
-// bit-identical to a scan.
+// built; the corpus arrays are append-only within a generation — pass
+// by the same rule the table applies (injectability-live and sharing a
+// band bucket with the query), skipping ids whose counts entry is zero
+// (tombstoned remnants). A live-written corpus therefore retrieves
+// exactly what a table rebuilt over it would. ids must be a Probe
+// result over this table, so the returned slice stays sorted and
+// duplicate-free (all delta ids are larger than any table id). Returns
+// the extended ids and the number of injectability-live delta strands.
 func (rx *RetrievalIndex) ProbeDelta(sum Summary, sums []Summary, counts []int, ids []int32) ([]int32, int) {
+	if len(sums) <= rx.n {
+		return ids, 0
+	}
+	keys := make([]uint64, rx.cfg.Bands)
+	for b := range keys {
+		keys[b] = bandKeyFor(sum.Sig, rx.cfg.Rows, b)
+	}
 	sound := 0
 	for j := rx.n; j < len(sums); j++ {
-		if counts[j] == 0 {
+		if counts[j] == 0 || !(sum.Injects(sums[j]) || sums[j].Injects(sum)) {
 			continue
 		}
-		if sum.Injects(sums[j]) || sums[j].Injects(sum) {
-			ids = append(ids, int32(j))
-			sound++
+		sound++
+		for b, key := range keys {
+			if bandKeyFor(sums[j].Sig, rx.cfg.Rows, b) == key {
+				ids = append(ids, int32(j))
+				break
+			}
 		}
 	}
 	return ids, sound
@@ -238,40 +205,25 @@ func (rx *RetrievalIndex) live(sum Summary, id int32) bool {
 }
 
 // Probe appends the candidate ids for the query strand summarized by
-// sum to out and returns the (sorted, duplicate-free) result along with
-// the size of the sound candidate set — the injectability-live strand
-// count, which the heuristic tier's result is a subset of (the ratio is
-// the engine's recall proxy). scratch must be at least Len() long and
-// all-false; it is restored to all-false before returning. At sound
-// settings (MinContainment == 0) the returned set is exactly the set
-// Candidates would mark.
+// sum to out — the injectability-live strands sharing at least one band
+// bucket with it — and returns the (sorted, duplicate-free) result
+// along with the size of the injectability-live set the candidates are
+// drawn from (candidates/sound is the engine's recall proxy). scratch
+// must be at least Len() long and all-false; it is restored to
+// all-false before returning.
 func (rx *RetrievalIndex) Probe(sum Summary, scratch []bool, out []int32) (ids []int32, sound int) {
 	if len(sum.Sig) != rx.cfg.Len() {
 		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
 			len(sum.Sig), rx.cfg.Bands, rx.cfg.Rows))
 	}
 	qi, qm := int32(sum.NInt), int32(sum.NMem)
-	liveClass := func(c retrClass) bool {
-		return (qi <= c.nInt && qm <= c.nMem) || (c.nInt <= qi && c.nMem <= qm)
-	}
 	for _, c := range rx.classes {
-		if liveClass(c) {
+		if (qi <= c.nInt && qm <= c.nMem) || (c.nInt <= qi && c.nMem <= qm) {
 			sound += int(c.n)
 		}
 	}
-	// Sound tier: the union of live class runs IS the candidate set.
-	// Class runs are disjoint, so no dedup is needed.
-	if rx.cfg.MinContainment <= 0 {
-		for _, c := range rx.classes {
-			if liveClass(c) {
-				out = append(out, rx.classIDs[c.off:c.off+c.n]...)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out, sound
-	}
-	// Heuristic tier: band-bucket collisions, deduplicated through
-	// scratch and filtered to the live set.
+	// Band-bucket collisions, deduplicated through scratch and filtered
+	// to the live set.
 	start := len(out)
 	collect := func(id int32) {
 		if !scratch[id] {
@@ -327,7 +279,6 @@ type RetrievalStats struct {
 	MaxPosting  int     // longest posting list
 	MeanPosting float64 // mean posting-list length
 	Skew        float64 // MaxPosting / MeanPosting (1 = perfectly even)
-	Small       int     // tiny-feature strands the scan-mode escape would always pass
 	Checksum    uint64
 }
 
@@ -339,7 +290,6 @@ func (rx *RetrievalIndex) Stats() RetrievalStats {
 		Rows:     rx.cfg.Rows,
 		Classes:  len(rx.classes),
 		Buckets:  len(rx.bandKeys),
-		Small:    len(rx.small),
 		Checksum: rx.checksum,
 	}
 	for i := range rx.bandKeys {
@@ -357,9 +307,9 @@ func (rx *RetrievalIndex) Stats() RetrievalStats {
 
 // RetrievalTable is the persistable form of the band structures: plain
 // slices with no behavior, encoded into snapshot format v4 by
-// internal/index. The typed-input classes and small-set list are NOT
-// part of the table — they are O(n) derivations of the summaries, which
-// the snapshot already persists, and FromTable rebuilds them on adopt.
+// internal/index. The typed-input classes are NOT part of the table —
+// they are an O(n) derivation of the summaries, which the snapshot
+// already persists, and FromTable rebuilds them on adopt.
 type RetrievalTable struct {
 	Bands, Rows int
 	N           int
@@ -386,8 +336,8 @@ func (rx *RetrievalIndex) Table() RetrievalTable {
 }
 
 // FromTable adopts a persisted band table, skipping the build-time
-// sort, and rebuilds the summary-derived parts (classes, small list,
-// typed counts) from sums. The table is validated structurally and
+// sort, and rebuilds the summary-derived parts (typed counts and
+// classes) from sums. The table is validated structurally and
 // against its checksum; any mismatch — including a table persisted
 // under a different banding than cfg — is an error, and the caller
 // should fall back to BuildRetrieval.
@@ -429,11 +379,14 @@ func FromTable(tab RetrievalTable, sums []Summary, cfg Config) (*RetrievalIndex,
 		}
 	}
 
-	// Rebuild the summary-derived parts by building a fresh index over
-	// an empty band set: cheapest is to reuse BuildRetrieval's class
-	// machinery via a throwaway build over the typed counts only. The
-	// class/small rebuild is O(n); the band sort it skips is the
-	// O(n·B·log n) part.
+	// Rebuild the summary-derived parts: O(n), where the band sort the
+	// adopt skips is the O(n·B·log n) part.
+	for id, s := range sums {
+		if len(s.Sig) != cfg.Len() {
+			return nil, fmt.Errorf("sketch: summary %d signature length %d does not match config %dx%d",
+				id, len(s.Sig), cfg.Bands, cfg.Rows)
+		}
+	}
 	rx := &RetrievalIndex{
 		cfg:      cfg,
 		n:        tab.N,
@@ -441,23 +394,8 @@ func FromTable(tab RetrievalTable, sums []Summary, cfg Config) (*RetrievalIndex,
 		bandKeys: tab.BandKeys,
 		bandOffs: tab.BandOffs,
 		bandIDs:  tab.BandIDs,
-		nInt:     make([]int32, len(sums)),
-		nMem:     make([]int32, len(sums)),
-		nFeat:    make([]int32, len(sums)),
 	}
-	for id, s := range sums {
-		if len(s.Sig) != cfg.Len() {
-			return nil, fmt.Errorf("sketch: summary %d signature length %d does not match config %dx%d",
-				id, len(s.Sig), cfg.Bands, cfg.Rows)
-		}
-		rx.nInt[id] = int32(s.NInt)
-		rx.nMem[id] = int32(s.NMem)
-		rx.nFeat[id] = int32(s.NFeat)
-		if s.NFeat <= SmallSetFeatures {
-			rx.small = append(rx.small, int32(id))
-		}
-	}
-	rx.rebuildClasses()
+	rx.setCounts(sums)
 	rx.checksum = rx.computeChecksum()
 	if tab.Checksum != 0 && rx.checksum != tab.Checksum {
 		return nil, fmt.Errorf("sketch: retrieval table checksum mismatch: table says %016x, content hashes to %016x",
@@ -466,37 +404,19 @@ func FromTable(tab RetrievalTable, sums []Summary, cfg Config) (*RetrievalIndex,
 	return rx, nil
 }
 
-// rebuildClasses fills the typed-input class runs from the SoA count
-// arrays (shared by BuildRetrieval's logic and FromTable's adopt path).
-func (rx *RetrievalIndex) rebuildClasses() {
+// setCounts fills the typed counts and the typed-input classes from
+// the summaries (shared by BuildRetrieval and FromTable's adopt path).
+func (rx *RetrievalIndex) setCounts(sums []Summary) {
 	type classKey struct{ nInt, nMem int32 }
+	rx.nInt = make([]int32, len(sums))
+	rx.nMem = make([]int32, len(sums))
 	counts := map[classKey]int32{}
-	for id := 0; id < rx.n; id++ {
+	for id, s := range sums {
+		rx.nInt[id], rx.nMem[id] = int32(s.NInt), int32(s.NMem)
 		counts[classKey{rx.nInt[id], rx.nMem[id]}]++
 	}
 	rx.classes = make([]retrClass, 0, len(counts))
 	for ck, n := range counts {
 		rx.classes = append(rx.classes, retrClass{nInt: ck.nInt, nMem: ck.nMem, n: n})
-	}
-	sort.Slice(rx.classes, func(i, j int) bool {
-		a, b := rx.classes[i], rx.classes[j]
-		if a.nInt != b.nInt {
-			return a.nInt < b.nInt
-		}
-		return a.nMem < b.nMem
-	})
-	classAt := make(map[classKey]int, len(rx.classes))
-	var off int32
-	for i := range rx.classes {
-		rx.classes[i].off = off
-		off += rx.classes[i].n
-		classAt[classKey{rx.classes[i].nInt, rx.classes[i].nMem}] = i
-	}
-	rx.classIDs = make([]int32, rx.n)
-	cursor := make([]int32, len(rx.classes))
-	for id := 0; id < rx.n; id++ {
-		ci := classAt[classKey{rx.nInt[id], rx.nMem[id]}]
-		rx.classIDs[rx.classes[ci].off+cursor[ci]] = int32(id)
-		cursor[ci]++
 	}
 }

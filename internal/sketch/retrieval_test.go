@@ -23,18 +23,17 @@ func synthSummaries(data []byte, cfg Config) []Summary {
 			feats[k] = seed
 		}
 		sums = append(sums, Summary{
-			Sig:   FromFeatures(feats, cfg),
-			NFeat: nf,
-			NInt:  nInt,
-			NMem:  nMem,
+			Sig:  FromFeatures(feats, cfg),
+			NInt: nInt,
+			NMem: nMem,
 		})
 	}
 	return sums
 }
 
-// soundSet is the reference sound candidate rule: every strand whose
-// typed counts inject into the query's or vice versa.
-func soundSet(rx *RetrievalIndex, sums []Summary, q Summary) map[int32]bool {
+// soundSet is the injectability-live set: every strand whose typed
+// counts inject into the query's or vice versa.
+func soundSet(sums []Summary, q Summary) map[int32]bool {
 	set := map[int32]bool{}
 	for id := range sums {
 		if q.Injects(sums[id]) || sums[id].Injects(q) {
@@ -42,6 +41,22 @@ func soundSet(rx *RetrievalIndex, sums []Summary, q Summary) map[int32]bool {
 		}
 	}
 	return set
+}
+
+// bruteCandidate is the reference probe rule, pair by pair: t is a
+// candidate of q when the two share a band bucket under cfg and are
+// injectability-live in at least one direction.
+func bruteCandidate(cfg Config, q, t Summary) bool {
+	cfg = cfg.Normalized()
+	if !q.Injects(t) && !t.Injects(q) {
+		return false
+	}
+	for b := 0; b < cfg.Bands; b++ {
+		if bandKeyFor(q.Sig, cfg.Rows, b) == bandKeyFor(t.Sig, cfg.Rows, b) {
+			return true
+		}
+	}
+	return false
 }
 
 func checkProbe(t *testing.T, rx *RetrievalIndex, sums []Summary, self int) {
@@ -55,11 +70,11 @@ func checkProbe(t *testing.T, rx *RetrievalIndex, sums []Summary, self int) {
 			t.Fatal("Probe left scratch dirty")
 		}
 	}
-	want := soundSet(rx, sums, q)
+	want := soundSet(sums, q)
 	if sound != len(want) {
 		t.Fatalf("Probe reports %d sound candidates, brute force finds %d", sound, len(want))
 	}
-	seen := map[int32]bool{}
+	got := map[int32]bool{}
 	for i, id := range ids {
 		if id < 0 || int(id) >= rx.Len() {
 			t.Fatalf("candidate id %d out of range [0,%d)", id, rx.Len())
@@ -67,34 +82,16 @@ func checkProbe(t *testing.T, rx *RetrievalIndex, sums []Summary, self int) {
 		if i > 0 && ids[i-1] >= id {
 			t.Fatal("candidate ids are not sorted and unique")
 		}
-		if !want[id] {
-			t.Fatalf("candidate %d is not injectability-live against the query", id)
-		}
-		seen[id] = true
+		got[id] = true
 	}
-	if !seen[int32(self)] {
+	if !got[int32(self)] {
 		t.Fatalf("strand %d does not retrieve itself", self)
 	}
-	if rx.Config().MinContainment <= 0 {
-		// Sound tier: the set must be exactly the brute-force live set.
-		if len(seen) != len(want) {
-			t.Fatalf("sound probe returned %d candidates, brute force finds %d", len(seen), len(want))
-		}
-		return
-	}
-	// Heuristic tier: a live strand sharing any band bucket with the
-	// query must be retrieved, and nothing that shares no bucket may be.
-	collides := func(id int32) bool {
-		for b := 0; b < rx.Config().Bands; b++ {
-			if bandKeyFor(q.Sig, rx.Config().Rows, b) == bandKeyFor(sums[id].Sig, rx.Config().Rows, b) {
-				return true
-			}
-		}
-		return false
-	}
-	for id := range want {
-		if seen[id] != collides(id) {
-			t.Fatalf("live strand %d: retrieved=%v collides=%v", id, seen[id], collides(id))
+	// Exactly the brute-force set: a live strand sharing any band
+	// bucket with the query is retrieved, and nothing else is.
+	for id := range sums {
+		if want := bruteCandidate(rx.Config(), q, sums[id]); got[int32(id)] != want {
+			t.Fatalf("strand %d: retrieved=%v, brute-force candidate=%v", id, got[int32(id)], want)
 		}
 	}
 }
@@ -122,17 +119,17 @@ func checkRoundTrip(t *testing.T, rx *RetrievalIndex, sums []Summary) {
 func fuzzConfigs() []Config {
 	return []Config{
 		{Bands: 4, Rows: 2},
-		{Bands: 4, Rows: 2, MinContainment: SuggestedMinContainment},
-		{Bands: 6, Rows: 3, MinContainment: 0.2},
+		{Bands: 6, Rows: 3},
+		{},
 	}
 }
 
 // FuzzRetrieval asserts the probe-table invariants for arbitrary
 // summary sets: deterministic builds, self-retrieval, sorted unique
-// live candidate sets, exact agreement with the brute-force sound rule
-// at sound settings, the no-missed-collision guarantee at heuristic
-// settings, a clean scratch buffer after every probe, and
-// Table→FromTable round-trips that preserve checksum and probe results.
+// candidate sets that equal the brute-force rule (band collision ∩
+// injectability) exactly, an exact injectability-live count, a clean
+// scratch buffer after every probe, and Table→FromTable round-trips
+// that preserve checksum and probe results.
 func FuzzRetrieval(f *testing.F) {
 	f.Add([]byte{1, 0, 20, 7, 2, 1, 3, 9, 1, 0, 20, 7})
 	f.Add([]byte{0, 0, 1, 1})
@@ -159,8 +156,9 @@ func FuzzRetrieval(f *testing.F) {
 }
 
 func TestRetrievalProbeMatchesCandidates(t *testing.T) {
-	// The sound probe must mark exactly what Index.Candidates marks at
-	// sound settings, for the same summaries in the same order.
+	// The probe must return exactly the brute-force candidate set (band
+	// collision ∩ injectability), for the same summaries in the same
+	// order, and the data must exercise both sides of each test.
 	cfg := Config{Bands: 4, Rows: 2}
 	data := []byte{
 		1, 0, 20, 7, 2, 1, 3, 9, 1, 0, 20, 8, 0, 0, 1, 1,
@@ -168,22 +166,34 @@ func TestRetrievalProbeMatchesCandidates(t *testing.T) {
 	}
 	sums := synthSummaries(data, cfg)
 	rx := BuildRetrieval(sums, cfg)
-	ix := NewIndex(cfg)
-	for _, s := range sums {
-		ix.Add(s)
-	}
 	scratch := make([]bool, len(sums))
+	var live, dead, kept, cut int
 	for qi, q := range sums {
 		ids, _ := rx.Probe(q, scratch, nil)
-		mark := make([]bool, len(sums))
-		ix.Candidates(q, mark)
 		probed := make([]bool, len(sums))
 		for _, id := range ids {
 			probed[id] = true
 		}
-		if !reflect.DeepEqual(probed, mark) {
-			t.Errorf("query %d: probe set diverges from Candidates at sound settings", qi)
+		for id, ts := range sums {
+			want := bruteCandidate(cfg, q, ts)
+			if probed[id] != want {
+				t.Errorf("query %d, strand %d: probed=%v, brute-force candidate=%v", qi, id, probed[id], want)
+			}
+			switch {
+			case !q.Injects(ts) && !ts.Injects(q):
+				dead++
+			case want:
+				kept++
+			default:
+				cut++
+			}
+			if q.Injects(ts) || ts.Injects(q) {
+				live++
+			}
 		}
+	}
+	if dead == 0 || kept == 0 || cut == 0 || live == 0 {
+		t.Fatalf("test data is degenerate: %d dead pairs, %d live pairs, %d kept, %d cut by banding", dead, live, kept, cut)
 	}
 }
 
@@ -226,9 +236,9 @@ func TestFromTableRejectsCorruption(t *testing.T) {
 
 // TestProbeDelta pins the delta-overlay contract: a table built over a
 // prefix of the corpus, probed and then extended with ProbeDelta over
-// the full summary slice, must return exactly the sound set a table
-// over the whole corpus would (minus zero-count tombstone remnants),
-// sorted and duplicate-free.
+// the full summary slice, must return exactly what a table over the
+// whole corpus would (minus zero-count tombstone remnants), sorted and
+// duplicate-free.
 func TestProbeDelta(t *testing.T) {
 	cfg := Config{}.Normalized()
 	data := []byte("probe-delta-corpus-material-0123456789abcdefghijklmnop")
@@ -244,6 +254,8 @@ func TestProbeDelta(t *testing.T) {
 	}
 	counts[built+1] = 0 // a tombstoned delta strand
 
+	full := BuildRetrieval(sums, cfg)
+	deltaHits := 0
 	for self := range sums {
 		q := sums[self]
 		scratch := make([]bool, rx.Len())
@@ -251,16 +263,15 @@ func TestProbeDelta(t *testing.T) {
 		ids, deltaSound := rx.ProbeDelta(q, sums, counts, ids)
 
 		want := map[int32]bool{}
-		for id := range sums {
-			if counts[id] == 0 {
-				continue
-			}
-			if q.Injects(sums[id]) || sums[id].Injects(q) {
-				want[int32(id)] = true
+		fullIDs, _ := full.Probe(q, make([]bool, full.Len()), nil)
+		for _, id := range fullIDs {
+			if counts[id] != 0 {
+				want[id] = true
+				if int(id) >= built {
+					deltaHits++
+				}
 			}
 		}
-		// The table covers [0,built) exhaustively at sound settings and
-		// the overlay covers [built,len) minus zero counts.
 		got := map[int32]bool{}
 		for i, id := range ids {
 			if i > 0 && ids[i-1] >= id {
@@ -272,9 +283,12 @@ func TestProbeDelta(t *testing.T) {
 			t.Fatalf("query %d: overlaid candidates = %v, want %v", self, ids, want)
 		}
 		_ = sound
-		if deltaSound > 3 {
-			t.Fatalf("query %d: %d delta sound candidates from a 3-strand delta", self, deltaSound)
+		if deltaSound > 2 {
+			t.Fatalf("query %d: %d delta sound candidates from a 2-strand live delta", self, deltaSound)
 		}
+	}
+	if deltaHits == 0 {
+		t.Fatal("no query retrieved a delta strand; the overlay went untested")
 	}
 
 	if rx.Stale(len(sums), 3) {

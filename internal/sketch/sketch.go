@@ -1,38 +1,27 @@
-// Package sketch implements a MinHash/LSH prefilter over strand
-// features, the syntactic first stage the binary-similarity literature
-// places in front of expensive semantic comparison (GitZ-style
-// statistical prefiltering; see PAPERS.md). A strand is summarized once
-// at index time into a short MinHash signature over cheap syntactic
-// features — operator bag, input/variable counts, constant set, and
-// expression-tree shape shingles — and signatures are bucketed with
-// banded locality-sensitive hashing.
+// Package sketch implements the cheap syntactic filters the engine runs
+// in front of the VCP verifier (stage 3), after the binary-similarity
+// literature's hybrid designs (GitZ-style statistical prefiltering, Hu
+// et al.'s filter-then-verify; see PAPERS.md). A strand is summarized
+// once at index time into its typed input counts and a short MinHash
+// signature over cheap syntactic features — operator bag, input and
+// variable counts, constant set, and expression-tree shape shingles.
 //
-// The candidate rule has a sound core and an optional heuristic tier.
+// Two filters use the summaries.
 //
-// Sound core: VCP requires a type-preserving injective correspondence
-// that is total on the first strand's inputs, so VCP(a, b) is exactly 0
-// whenever a's typed input counts cannot inject into b's. A pair that
-// is dead in both directions contributes exactly zero to every score
-// and is skipped outright — rankings stay byte-identical to the
-// exhaustive loop by construction. (The engine additionally uses the
-// same test per direction to avoid the dead half of a live pair's two
-// verifier calls.)
+// Injectability (always on, exact): VCP requires a type-preserving
+// injective correspondence that is total on the first strand's inputs,
+// so VCP(a, b) is exactly 0 whenever a's typed input counts cannot
+// inject into b's (Summary.Injects). The engine skips a pair that is
+// dead in both directions and runs only the live direction of a
+// half-dead pair; rankings are unchanged by construction.
 //
-// Heuristic tier (off by default, Config.MinContainment > 0): a live
-// pair is additionally required to share a band bucket (the classic
-// symmetric-Jaccard LSH test) or to clear an estimated feature
-// containment. Containment rather than plain Jaccard because VCP is
-// asymmetric: a small strand embedded in a larger one scores high VCP
-// while its feature Jaccard stays low; the estimate divides the
-// Jaccard-derived intersection by the smaller set size. Strand pairs
-// where either side has a tiny feature set are always candidates: their
-// sketches are too noisy to trust and their VCP is cheap anyway. The
-// heuristic tier trades a small, measured recall loss (see the
-// differential harness in internal/core) for a larger skip rate, so it
-// is opt-in.
-//
-// Everything skipped here is rejected before the §5.5 size-ratio window
-// even runs.
+// Band-collision retrieval (opt-in, Config.MinContainment > 0): the
+// signatures are bucketed with banded locality-sensitive hashing into
+// an immutable probe table (RetrievalIndex), and a query strand's
+// candidates become the injectability-live strands that share at least
+// one band bucket with it. This trades a small, measured recall loss
+// (see the differential harness in internal/core) for per-query cost
+// that no longer grows with the corpus, so it is opt-in.
 //
 // Everything here is deterministic: the same strand always produces the
 // same signature (fixed seeds, no map-iteration dependence), so
@@ -41,7 +30,6 @@
 package sketch
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -51,43 +39,35 @@ import (
 	"repro/internal/strand"
 )
 
-// Defaults shape the signature (Bands×Rows hash functions) and the
-// heuristic tier. The banding puts the LSH S-curve threshold near
-// Jaccard 0.3; SuggestedMinContainment was calibrated with the
-// ground-truth sweep in internal/core (RUN_GEOM_SWEEP): nearly every
-// pair with true VCP >= 0.5 has feature containment >= 0.5, so gating
-// at 0.45 leaves headroom for MinHash estimation noise.
+// Defaults shape the signature (Bands×Rows hash functions). The banding
+// puts the LSH S-curve threshold near Jaccard 0.3.
 const (
 	DefaultBands = 24
 	DefaultRows  = 3
-	// SuggestedMinContainment is the calibrated setting for the
-	// opt-in heuristic tier. It is intentionally NOT the default:
-	// MinContainment = 0 keeps the prefilter sound (rankings
-	// byte-identical to the exhaustive loop).
+	// SuggestedMinContainment is the conventional setting that selects
+	// the opt-in band-collision tier (any value above 0 does). It is
+	// intentionally NOT the default: MinContainment = 0 keeps stage 3
+	// exact.
 	SuggestedMinContainment = 0.45
-	// SmallSetFeatures is the feature-set size at or under which a
-	// strand's sketch is considered too noisy to gate on: pairs where
-	// either side is this small always pass the heuristic tier.
-	SmallSetFeatures = 12
 )
 
-// Config shapes the MinHash signature, its LSH banding, and the
-// heuristic tier of the candidate rule.
+// Config shapes the MinHash signature and its LSH banding, and selects
+// the band-collision tier.
 type Config struct {
 	// Bands is the number of LSH bands (0 selects DefaultBands).
 	Bands int
 	// Rows is the number of signature rows per band (0 selects
 	// DefaultRows). The signature length is Bands*Rows.
 	Rows int
-	// MinContainment, when > 0, enables the heuristic tier: a live
-	// pair with no band collision and an estimated feature containment
-	// below this level is not a candidate. 0 (the default) keeps the
-	// prefilter sound — only provably-zero pairs are skipped.
+	// MinContainment, when > 0, selects the band-collision tier: stage
+	// 3 takes each query strand's candidates from the retrieval table's
+	// probe instead of walking every strand. The value itself is not a
+	// threshold; 0 (the default) keeps stage 3 exact.
 	MinContainment float64
 }
 
 // Normalized fills in zero fields with the defaults. MinContainment is
-// left alone: zero is a meaningful setting (heuristic tier off).
+// left alone: zero is a meaningful setting (band-collision tier off).
 func (c Config) Normalized() Config {
 	if c.Bands <= 0 {
 		c.Bands = DefaultBands
@@ -239,15 +219,13 @@ func Compute(s *strand.Strand, cfg Config) Signature {
 	return FromFeatures(Features(s), cfg)
 }
 
-// Summary is everything the candidate rule knows about one strand: its
-// MinHash signature, its feature-set size (for the containment
-// estimate), and its typed input counts (for the sound injectability
-// test).
+// Summary is everything the filters know about one strand: its MinHash
+// signature (for band collisions) and its typed input counts (for the
+// injectability test).
 type Summary struct {
-	Sig   Signature
-	NFeat int
-	NInt  int // inputs of bitvector type
-	NMem  int // inputs of memory type
+	Sig  Signature
+	NInt int // inputs of bitvector type
+	NMem int // inputs of memory type
 }
 
 // Summarize builds the strand's candidate-rule summary under cfg.
@@ -273,7 +251,15 @@ func adoptSignature(s *strand.Strand, feats []uint64, sig Signature, cfg Config)
 	if len(sig) != cfg.Len() {
 		sig = FromFeatures(feats, cfg)
 	}
-	sum := Summary{Sig: sig, NFeat: len(feats)}
+	sum := InputSummary(s)
+	sum.Sig = sig
+	return sum
+}
+
+// InputSummary returns the strand's typed input counts as a Summary
+// without a signature: all the injectability test reads.
+func InputSummary(s *strand.Strand) Summary {
+	var sum Summary
 	for _, v := range s.Inputs {
 		if v.Type == ivl.Mem {
 			sum.NMem++
@@ -312,125 +298,4 @@ func FromFeatures(feats []uint64, cfg Config) Signature {
 		}
 	}
 	return sig
-}
-
-// Index is a banded LSH index over strand summaries, plus the flat
-// summary table the injectability and containment tests scan. Strands
-// are added with sequential ids (0, 1, 2, ...) matching their position
-// in the engine's unique-strand table. Add is not safe for concurrent
-// use; Candidates is safe concurrently with other Candidates calls once
-// building is done.
-type Index struct {
-	cfg   Config
-	bands []map[uint64][]int32
-	sums  []Summary
-}
-
-// NewIndex returns an empty index with cfg's banding.
-func NewIndex(cfg Config) *Index {
-	cfg = cfg.Normalized()
-	ix := &Index{cfg: cfg, bands: make([]map[uint64][]int32, cfg.Bands)}
-	for b := range ix.bands {
-		ix.bands[b] = map[uint64][]int32{}
-	}
-	return ix
-}
-
-// Config returns the index's banding configuration.
-func (ix *Index) Config() Config { return ix.cfg }
-
-// Len returns the number of summaries added.
-func (ix *Index) Len() int { return len(ix.sums) }
-
-// Summary returns the id-th strand's summary.
-func (ix *Index) Summary(id int) Summary { return ix.sums[id] }
-
-// bandKey hashes one band's rows of the signature. It delegates to the
-// shared bandKeyFor so the scan-mode index and the retrieval table
-// always bucket identically.
-func (ix *Index) bandKey(sig Signature, b int) uint64 {
-	return bandKeyFor(sig, ix.cfg.Rows, b)
-}
-
-// Add inserts the next strand's summary; ids are assigned sequentially.
-// It returns the id.
-func (ix *Index) Add(sum Summary) int {
-	if len(sum.Sig) != ix.cfg.Len() {
-		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
-			len(sum.Sig), ix.cfg.Bands, ix.cfg.Rows))
-	}
-	id := int32(len(ix.sums))
-	ix.sums = append(ix.sums, sum)
-	for b := range ix.bands {
-		key := ix.bandKey(sum.Sig, b)
-		ix.bands[b][key] = append(ix.bands[b][key], id)
-	}
-	return int(id)
-}
-
-// Candidates marks every indexed strand that is a verifier candidate
-// for the strand summarized by sum (mark[id] = true; len(mark) must be
-// at least Len()) and returns the number of candidates marked. A pair
-// that is injectability-dead in both directions is never a candidate
-// (its VCP is exactly 0 both ways). With the heuristic tier enabled
-// (cfg.MinContainment > 0), a live pair must additionally collide in a
-// band, clear the containment estimate, or involve a tiny feature set.
-func (ix *Index) Candidates(sum Summary, mark []bool) int {
-	if len(sum.Sig) != ix.cfg.Len() {
-		panic(fmt.Sprintf("sketch: signature length %d does not match config %dx%d",
-			len(sum.Sig), ix.cfg.Bands, ix.cfg.Rows))
-	}
-	var banded []bool
-	if ix.cfg.MinContainment > 0 {
-		banded = make([]bool, len(ix.sums))
-		for b := range ix.bands {
-			for _, id := range ix.bands[b][ix.bandKey(sum.Sig, b)] {
-				banded[id] = true
-			}
-		}
-	}
-	qSmall := sum.NFeat <= SmallSetFeatures
-	count := 0
-	for id, ts := range ix.sums {
-		if !sum.Injects(ts) && !ts.Injects(sum) {
-			continue // provably zero in both directions
-		}
-		if banded != nil && !banded[id] && !qSmall && ts.NFeat > SmallSetFeatures &&
-			estContainment(sum.Sig, ts.Sig, sum.NFeat, ts.NFeat) < ix.cfg.MinContainment {
-			continue
-		}
-		if !mark[id] {
-			mark[id] = true
-			count++
-		}
-	}
-	return count
-}
-
-// estContainment estimates |A∩B| / min(|A|,|B|) of the two underlying
-// feature sets from the signature agreement rate. The agreement rate of
-// two MinHash signatures is an unbiased estimate of the Jaccard J =
-// |A∩B| / |A∪B|; with the exact set sizes stored alongside, the
-// intersection follows as J/(1+J)·(|A|+|B|), and dividing by the
-// smaller set turns the symmetric estimate into the asymmetric overlap
-// the VCP loop actually cares about.
-func estContainment(a, b Signature, na, nb int) float64 {
-	eq := 0
-	for i := range a {
-		if a[i] == b[i] {
-			eq++
-		}
-	}
-	if eq == len(a) {
-		return 1
-	}
-	min := na
-	if nb < min {
-		min = nb
-	}
-	if min <= 0 {
-		return 0
-	}
-	j := float64(eq) / float64(len(a))
-	return j / (1 + j) * float64(na+nb) / float64(min)
 }

@@ -62,108 +62,46 @@ func TestFeaturesSortedAndStable(t *testing.T) {
 }
 
 func TestIndexSelfCandidate(t *testing.T) {
-	ix := NewIndex(Config{})
-	s := mkStrand("a", "b", "c", "d", "e")
-	sum := Summarize(s, ix.Config())
-	id := ix.Add(sum)
-	mark := make([]bool, ix.Len())
-	n := ix.Candidates(sum, mark)
-	if !mark[id] {
-		t.Error("a strand is not a candidate of its own summary")
+	// A strand in a retrieval table is always a candidate of its own
+	// summary: identical signatures collide in every band.
+	cfg := Config{}.Normalized()
+	sum := Summarize(mkStrand("a", "b", "c", "d", "e"), cfg)
+	rx := BuildRetrieval([]Summary{sum}, cfg)
+	ids, sound := rx.Probe(sum, make([]bool, rx.Len()), nil)
+	if len(ids) != 1 || ids[0] != 0 {
+		t.Errorf("probe of a strand's own summary = %v, want [0]", ids)
 	}
-	if n != 1 {
-		t.Errorf("candidate count = %d, want 1", n)
-	}
-}
-
-// memStrand is pure memory traffic: its inputs are (Mem, Int), so the
-// all-Int hash loop is injectability-dead against it in both directions.
-func memStrand() *strand.Strand {
-	mem := ivl.Var{Name: "m", Type: ivl.Mem}
-	p := ivl.Var{Name: "p", Type: ivl.Int}
-	return &strand.Strand{
-		ProcName: "q",
-		Inputs:   []ivl.Var{mem, p},
-		Stmts: []ivl.Stmt{
-			ivl.Assign(ivl.Var{Name: "t0", Type: ivl.Int}, ivl.LoadExpr{Mem: ivl.V(mem), Addr: ivl.V(p), W: 8}),
-			ivl.Assign(ivl.Var{Name: "t1", Type: ivl.Int}, ivl.Bin(ivl.ULt, ivl.IntVar("t0"), ivl.C(0x1000))),
-			ivl.Assign(ivl.Var{Name: "m1", Type: ivl.Mem},
-				ivl.StoreExpr{Mem: ivl.V(mem), Addr: ivl.Bin(ivl.Sub, ivl.V(p), ivl.C(16)), Val: ivl.IntVar("t1"), W: 8}),
-		},
-	}
-}
-
-// arithStrand shares the hash loop's input typing (two Int inputs) but
-// none of its operators, constants, or shape — a live pair the sound
-// core must keep and the heuristic tier should cut.
-func arithStrand() *strand.Strand {
-	v := func(name string) ivl.Var { return ivl.Var{Name: name, Type: ivl.Int} }
-	return &strand.Strand{
-		ProcName: "r",
-		Inputs:   []ivl.Var{v("x"), v("y")},
-		Stmts: []ivl.Stmt{
-			ivl.Assign(v("t0"), ivl.Bin(ivl.Sub, ivl.IntVar("x"), ivl.C(0x1000))),
-			ivl.Assign(v("t1"), ivl.Bin(ivl.ULt, ivl.IntVar("t0"), ivl.IntVar("y"))),
-			ivl.Assign(v("t2"), ivl.Bin(ivl.And, ivl.IntVar("t1"), ivl.Bin(ivl.Shl, ivl.IntVar("y"), ivl.C(3)))),
-			ivl.Assign(v("t3"), ivl.Bin(ivl.Or, ivl.IntVar("t2"), ivl.C(0xff))),
-		},
+	if sound != 1 {
+		t.Errorf("injectability-live count = %d, want 1", sound)
 	}
 }
 
 func TestIndexSoundCoreDropsTypeDeadPairs(t *testing.T) {
-	// The default (sound-only) candidate rule keeps every pair that is
-	// live in either direction — however dissimilar — and drops pairs
-	// whose typed inputs cannot inject either way, whose VCP is exactly
-	// zero by construction.
+	// The injectability core of the probe rule drops a pair whose typed
+	// inputs cannot inject either way — its VCP is exactly zero by
+	// construction — even when the two strands collide in every band.
+	// The hash loop retyped to (Mem, Int) inputs has the same features,
+	// so the same signature, as the all-Int original.
 	cfg := Config{}.Normalized()
 	hash := Summarize(mkStrand("a", "b", "c", "d", "e"), cfg)
-	mem := Summarize(memStrand(), cfg)
-	arith := Summarize(arithStrand(), cfg)
+	retyped := mkStrand("p", "q", "r", "s", "t")
+	retyped.Inputs[0].Type = ivl.Mem
+	dead := Summarize(retyped, cfg)
+	twin := Summarize(mkStrand("v", "w", "x", "y", "z"), cfg)
+	if !reflect.DeepEqual(hash.Sig, dead.Sig) {
+		t.Fatal("test premise broken: retyping an input changed the signature")
+	}
+	if hash.Injects(dead) || dead.Injects(hash) {
+		t.Fatal("test premise broken: the retyped pair should be dead both ways")
+	}
 
-	if hash.Injects(mem) || mem.Injects(hash) {
-		t.Fatal("test premise broken: hash/mem pair should be dead both ways")
+	rx := BuildRetrieval([]Summary{dead, twin}, cfg)
+	ids, sound := rx.Probe(hash, make([]bool, rx.Len()), nil)
+	if len(ids) != 1 || ids[0] != 1 {
+		t.Errorf("probe = %v, want only the live twin [1]", ids)
 	}
-	ix := NewIndex(cfg)
-	memID := ix.Add(mem)
-	arithID := ix.Add(arith)
-	mark := make([]bool, ix.Len())
-	n := ix.Candidates(hash, mark)
-	if mark[memID] {
-		t.Error("type-dead pair survived the sound candidate rule")
-	}
-	if !mark[arithID] {
-		t.Error("live-but-dissimilar pair was dropped by the sound candidate rule")
-	}
-	if n != 1 {
-		t.Errorf("candidate count = %d, want 1", n)
-	}
-}
-
-func TestIndexHeuristicTierSeparatesDissimilarStrands(t *testing.T) {
-	// With the heuristic tier enabled, a live pair with no band
-	// collision and low estimated containment is cut even though the
-	// sound core keeps it.
-	cfg := Config{MinContainment: SuggestedMinContainment}.Normalized()
-	hash := mkStrand("a", "b", "c", "d", "e")
-	other := arithStrand()
-	// Both strands must be over the tiny-feature-set rescue for the
-	// similarity tests to apply at all.
-	if nf := len(Features(hash)); nf <= SmallSetFeatures {
-		t.Fatalf("hash-loop strand has only %d features", nf)
-	}
-	if nf := len(Features(other)); nf <= SmallSetFeatures {
-		t.Fatalf("arith strand has only %d features", nf)
-	}
-	ix := NewIndex(cfg)
-	ix.Add(Summarize(hash, cfg))
-	mark := make([]bool, ix.Len())
-	if n := ix.Candidates(Summarize(other, cfg), mark); n != 0 {
-		t.Errorf("dissimilar strand produced %d candidates, want 0", n)
-	}
-	// The same strand alpha-renamed still collides in every band.
-	mark = make([]bool, ix.Len())
-	if n := ix.Candidates(Summarize(mkStrand("p", "q", "r", "s", "t"), cfg), mark); n != 1 {
-		t.Errorf("alpha-renamed twin produced %d candidates, want 1", n)
+	if sound != 1 {
+		t.Errorf("injectability-live count = %d, want 1", sound)
 	}
 }
 

@@ -4,8 +4,8 @@ package vcp_test
 // width G is a dispatch knob, not a semantic one, so every width must
 // produce Float64bits-identical VCP values and identical γ counts
 // against the scalar reference over real lifted strand pairs — through
-// both the one-shot ComputeWithStats path and the persistent Evaluator
-// that core's pair loop uses.
+// the persistent Evaluator that core's pair loop uses, at production's
+// width and at the widths the package-internal hook reaches.
 
 import (
 	"math"
@@ -28,12 +28,12 @@ func TestGammaBatchDifferential(t *testing.T) {
 		strands = strands[:16]
 	}
 
-	scalarCfg := vcp.Config{Kernel: vcp.KernelScalar}
-	scalarPrep := make([]*vcp.Prepared, len(strands))
+	var cfg vcp.Config
+	prep := make([]*vcp.Prepared, len(strands))
 	for i, s := range strands {
-		scalarPrep[i] = vcp.Prepare(s, scalarCfg)
-		if err := scalarPrep[i].Err(); err != nil {
-			t.Fatalf("prepare %d (scalar): %v", i, err)
+		prep[i] = vcp.Prepare(s, cfg)
+		if err := prep[i].Err(); err != nil {
+			t.Fatalf("prepare %d: %v", i, err)
 		}
 	}
 	// Scalar reference, computed once.
@@ -45,24 +45,16 @@ func TestGammaBatchDifferential(t *testing.T) {
 	for i := range strands {
 		refs[i] = make([]ref, len(strands))
 		for j := range strands {
-			v, st := vcp.ComputeWithStats(scalarPrep[i], scalarPrep[j], scalarCfg)
+			v, st := vcp.ComputeScalar(prep[i], prep[j], cfg)
 			refs[i][j] = ref{v, st}
 		}
 	}
 
-	for _, g := range []int{1, 2, 8, 16} {
-		cfg := vcp.Config{Kernel: vcp.KernelBatch, GammaBatch: g}
-		prep := make([]*vcp.Prepared, len(strands))
-		for i, s := range strands {
-			prep[i] = vcp.Prepare(s, cfg)
-			if err := prep[i].Err(); err != nil {
-				t.Fatalf("prepare %d (G=%d): %v", i, g, err)
-			}
-		}
+	for _, g := range []int{1, 2, vcp.GammaBatch, 16} {
 		for i := range strands {
 			// The Evaluator persists one kernel across every pairing of
 			// this query — exactly core's stage-3 loop shape.
-			ev := vcp.NewEvaluator(prep[i], cfg)
+			ev := vcp.NewEvaluatorWidth(prep[i], cfg, g)
 			for j := range strands {
 				v, st := ev.Compute(prep[j])
 				want := refs[i][j]

@@ -45,14 +45,12 @@ func gammaTarget(scale uint64) *strand.Strand {
 // with the scalar reference inline.
 func gammaRun(t *testing.T, q, tgt *strand.Strand, g int, base Config) (float64, Stats) {
 	t.Helper()
-	cfg := base
-	cfg.Kernel = KernelBatch
-	cfg.GammaBatch = g
-	v, st := ComputeWithStats(Prepare(q, cfg), Prepare(tgt, cfg), cfg)
+	qp, tp := Prepare(q, base), Prepare(tgt, base)
+	ev := newEvaluator(qp, base, g)
+	defer ev.Close()
+	v, st := ev.Compute(tp)
 
-	sc := base
-	sc.Kernel = KernelScalar
-	vs, ss := ComputeWithStats(Prepare(q, sc), Prepare(tgt, sc), sc)
+	vs, ss := ComputeScalar(qp, tp, base)
 	if math.Float64bits(v) != math.Float64bits(vs) {
 		t.Fatalf("G=%d: VCP %v != scalar %v", g, v, vs)
 	}

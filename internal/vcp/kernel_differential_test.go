@@ -4,8 +4,8 @@ package vcp_test
 // level: over real lifted strands (not just generated programs), the
 // batched kernel must produce byte-identical fingerprints to the scalar
 // reference under every γ assignment the VCP search would try, and
-// ComputeWithStats must return identical values and work counts under
-// -kernel=scalar and -kernel=batch.
+// ComputeWithStats must return values and work counts identical to the
+// ComputeScalar reference.
 
 import (
 	"testing"
@@ -144,26 +144,21 @@ func TestKernelDifferentialCorpus(t *testing.T) {
 		progs[i].ReleaseKernel(kern)
 	}
 
-	// End-to-end VCP parity: identical values and γ counts under both
-	// kernels, preparations included.
-	scalarCfg := vcp.Config{Kernel: vcp.KernelScalar}
-	batchCfg := vcp.Config{Kernel: vcp.KernelBatch}
-	scalarPrep := make([]*vcp.Prepared, len(strands))
-	batchPrep := make([]*vcp.Prepared, len(strands))
+	// End-to-end VCP parity: identical values and γ counts between the
+	// production path and the scalar reference, which recomputes the
+	// target fingerprint sets on the interpreter too.
+	var cfg vcp.Config
+	prep := make([]*vcp.Prepared, len(strands))
 	for i, s := range strands {
-		scalarPrep[i] = vcp.Prepare(s, scalarCfg)
-		batchPrep[i] = vcp.Prepare(s, batchCfg)
-		if err := scalarPrep[i].Err(); err != nil {
+		prep[i] = vcp.Prepare(s, cfg)
+		if err := prep[i].Err(); err != nil {
 			t.Fatalf("prepare %d: %v", i, err)
-		}
-		if err := batchPrep[i].Err(); err != nil {
-			t.Fatalf("prepare %d (batch): %v", i, err)
 		}
 	}
 	for i := range strands {
 		for j := range strands {
-			vs, ss := vcp.ComputeWithStats(scalarPrep[i], scalarPrep[j], scalarCfg)
-			vb, sb := vcp.ComputeWithStats(batchPrep[i], batchPrep[j], batchCfg)
+			vs, ss := vcp.ComputeScalar(prep[i], prep[j], cfg)
+			vb, sb := vcp.ComputeWithStats(prep[i], prep[j], cfg)
 			if vs != vb || ss.Correspondences != sb.Correspondences {
 				t.Fatalf("pair (%d,%d): scalar (%v, %d γ) vs batch (%v, %d γ)",
 					i, j, vs, ss.Correspondences, vb, sb.Correspondences)

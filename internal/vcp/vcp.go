@@ -20,18 +20,6 @@ import (
 	"repro/internal/strand"
 )
 
-// Evaluation kernel modes: how the γ loop evaluates compiled strands.
-const (
-	// KernelBatch is the batched structure-of-arrays kernel (smt.Kernel):
-	// one instruction dispatch per lane vector, γ-invariant prefix
-	// hoisting, pooled allocation-free buffers. The default.
-	KernelBatch = "batch"
-	// KernelScalar is the scalar reference interpreter
-	// (smt.Program.Fingerprints): one full pass per sample. Kept as the
-	// differential oracle and escape hatch.
-	KernelScalar = "scalar"
-)
-
 // Config tunes the VCP computation. The zero value selects the paper's
 // settings via Default.
 type Config struct {
@@ -45,28 +33,18 @@ type Config struct {
 	SizeRatio float64
 	// MaxCorrespondences caps the γ enumeration per strand pair.
 	MaxCorrespondences int
-	// Kernel selects the evaluation kernel: KernelBatch ("" or "batch")
-	// or KernelScalar. Both produce byte-identical fingerprints; the
-	// choice never affects rankings.
-	Kernel string
-	// GammaBatch is the γ-batch width G: the batched kernel accumulates
-	// up to G complete correspondences and evaluates them through one
-	// suffix execution over G×Samples lanes. 0 selects
-	// DefaultGammaBatch; 1 evaluates per correspondence (the classic
-	// path). Any width produces byte-identical scores and identical
-	// Correspondences counts — batching changes dispatch, not semantics.
-	GammaBatch int
 }
 
-// DefaultGammaBatch is the γ-batch width used when Config.GammaBatch is
-// zero: wide enough to amortize instruction dispatch and overlap the
-// fingerprint fold chains, narrow enough that a typical pair (a handful
-// of correspondences) still fills most of its final batch.
-const DefaultGammaBatch = 8
-
-// MaxGammaBatch bounds the configurable width; beyond this the lane
-// buffers outgrow L1 for typical strands and wider stops paying.
-const MaxGammaBatch = 64
+// GammaBatch is the γ-batch width G of the batched kernel: the γ loop
+// accumulates up to G complete correspondences and evaluates them
+// through one suffix execution over G×Samples lanes. Wide enough to
+// amortize instruction dispatch and overlap the fingerprint fold
+// chains, narrow enough that a typical pair (a handful of
+// correspondences) still fills most of its final batch. Every width
+// produces Float64bits-identical scores and identical Correspondences
+// counts — batching changes dispatch, not semantics — which the
+// package tests pin at widths 1, 2, 8 and 16.
+const GammaBatch = 8
 
 // Default returns the configuration used in the paper's experiments.
 func Default() Config {
@@ -92,15 +70,6 @@ func (c Config) normalized() Config {
 	}
 	if c.MaxCorrespondences <= 0 {
 		c.MaxCorrespondences = d.MaxCorrespondences
-	}
-	if c.Kernel == "" {
-		c.Kernel = KernelBatch
-	}
-	if c.GammaBatch <= 0 {
-		c.GammaBatch = DefaultGammaBatch
-	}
-	if c.GammaBatch > MaxGammaBatch {
-		c.GammaBatch = MaxGammaBatch
 	}
 	return c
 }
@@ -200,7 +169,9 @@ func hash64(s string) uint64 {
 }
 
 // Prepare compiles the strand and evaluates it under its own slot
-// assignment.
+// assignment, on the batched kernel when the program allows it and on
+// the scalar interpreter otherwise (the two produce bit-identical
+// fingerprints).
 func Prepare(s *strand.Strand, cfg Config) *Prepared {
 	cfg = cfg.normalized()
 	p := &Prepared{S: s, key: s.CanonicalKey()}
@@ -210,34 +181,32 @@ func Prepare(s *strand.Strand, cfg Config) *Prepared {
 		return p
 	}
 	p.prog = prog
-	identity := make([]int, len(s.Inputs))
-	for i := range identity {
-		identity[i] = i
-	}
-	var fps []uint64
-	if useBatch(prog, cfg) {
+	identity := identityAssignment(len(s.Inputs))
+	if prog.BatchOK() {
 		kern := prog.AcquireKernel(cfg.Samples)
-		fps = kern.Fingerprints(identity)
-		p.fpSet = make(map[uint64]bool, len(fps))
-		for _, h := range fps {
-			p.fpSet[h] = true
-		}
+		p.fpSet = fingerprintSet(kern.Fingerprints(identity))
 		prog.ReleaseKernel(kern)
 	} else {
-		fps = prog.Fingerprints(identity, cfg.Samples)
-		p.fpSet = make(map[uint64]bool, len(fps))
-		for _, h := range fps {
-			p.fpSet[h] = true
-		}
+		p.fpSet = fingerprintSet(prog.Fingerprints(identity, cfg.Samples))
 	}
 	p.sigs = roleSignatures(s)
 	return p
 }
 
-// useBatch reports whether the batched SoA kernel serves this program
-// under the configuration.
-func useBatch(prog *smt.Program, cfg Config) bool {
-	return cfg.Kernel != KernelScalar && prog.BatchOK()
+func identityAssignment(n int) []int {
+	identity := make([]int, n)
+	for i := range identity {
+		identity[i] = i
+	}
+	return identity
+}
+
+func fingerprintSet(fps []uint64) map[uint64]bool {
+	set := make(map[uint64]bool, len(fps))
+	for _, h := range fps {
+		set[h] = true
+	}
+	return set
 }
 
 // Key returns the canonical structural key of the underlying strand.
@@ -273,7 +242,7 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 // or scalar interpreter passes — excluding candidate ordering, the
 // enumeration itself, and fpSet matching, so the metric built on it
 // does not overcount. Batches counts kernel flushes and BatchRows the
-// correspondences they carried; BatchRows/(GammaBatch·Batches) is the
+// correspondences they carried; BatchRows/(width·Batches) is the
 // mean batch occupancy. Capped reports that the enumeration stopped at
 // MaxCorrespondences without a perfect match, so the returned VCP is a
 // lower bound of the uncapped search.
@@ -302,6 +271,24 @@ func ComputeWithStats(q, t *Prepared, cfg Config) (float64, Stats) {
 	return ev.Compute(t)
 }
 
+// ComputeScalar is the reference implementation of ComputeWithStats:
+// the γ loop runs on the scalar interpreter, and the target's
+// fingerprint set is recomputed by the interpreter as well, so no
+// batched-kernel output reaches the result. It is the differential
+// oracle the engine's tests hold production to — its value and
+// Correspondences count must equal ComputeWithStats' bit for bit — and
+// production never calls it.
+func ComputeScalar(q, t *Prepared, cfg Config) (float64, Stats) {
+	cfg = cfg.normalized()
+	if t.err == nil && t.prog != nil {
+		ref := *t
+		ref.fpSet = fingerprintSet(t.prog.Fingerprints(identityAssignment(len(t.S.Inputs)), cfg.Samples))
+		t = &ref
+	}
+	ev := newEvaluator(q, cfg, 0)
+	return ev.Compute(t)
+}
+
 // Evaluator computes VCP(q, ·) for one query strand against many
 // targets, holding the query's evaluation kernel — and its evaluated
 // γ-invariant prefix — across pairs. One acquire per query row instead
@@ -314,14 +301,23 @@ type Evaluator struct {
 	g    int
 }
 
-// NewEvaluator prepares a reusable evaluator for the query strand.
-// Callers must Close it to return the kernel to the program pool.
+// NewEvaluator prepares a reusable evaluator for the query strand: the
+// batched kernel at width GammaBatch, or the scalar interpreter for
+// programs the kernel rejects (smt.Program.BatchOK). Callers must Close
+// it to return the kernel to the program pool.
 func NewEvaluator(q *Prepared, cfg Config) *Evaluator {
+	return newEvaluator(q, cfg, GammaBatch)
+}
+
+// newEvaluator is NewEvaluator at γ-batch width g; g == 0 selects the
+// scalar interpreter. Production always runs at GammaBatch; the other
+// widths exist for the package's differential tests.
+func newEvaluator(q *Prepared, cfg Config, g int) *Evaluator {
 	cfg = cfg.normalized()
-	ev := &Evaluator{q: q, cfg: cfg, g: 1}
-	if q.err == nil && q.prog != nil && useBatch(q.prog, cfg) {
-		ev.g = cfg.GammaBatch
-		ev.kern = q.prog.AcquireKernelBatch(cfg.Samples, ev.g)
+	ev := &Evaluator{q: q, cfg: cfg}
+	if g > 0 && q.err == nil && q.prog != nil && q.prog.BatchOK() {
+		ev.g = g
+		ev.kern = q.prog.AcquireKernelBatch(cfg.Samples, g)
 	}
 	return ev
 }
@@ -336,7 +332,7 @@ func (ev *Evaluator) Close() {
 
 // Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
 // and Correspondences counts are Float64bits-identical across every
-// GammaBatch width and the scalar interpreter: γ candidates are
+// γ-batch width and the scalar interpreter: γ candidates are
 // enumerated in the same order, a batch row buffered after a perfect
 // match or past the MaxCorrespondences cap is discarded uncounted at
 // flush — exactly the candidates the unbatched loop would never have
