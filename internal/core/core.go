@@ -210,6 +210,8 @@ type DB struct {
 	mVerifierCalls *telemetry.Counter
 	mGamma         *telemetry.Counter
 	mGammaCapped   *telemetry.Counter
+	mGammaMemo     *telemetry.Counter
+	hGammaDir      *telemetry.Histogram
 	mQueries       *telemetry.Counter
 	mLSHSkipped    *telemetry.Counter
 	mDeadDirs      *telemetry.Counter
@@ -276,15 +278,19 @@ func (db *DB) initMetrics() {
 	db.mPairsPruned = reg.Counter("esh_vcp_pairs_pruned_total", "Strand pairs rejected by the size-ratio window before any verifier work.")
 	db.mPairsIdent = reg.Counter("esh_vcp_pairs_identical_total", "Strand pairs short-circuited as structurally identical.")
 	db.mVerifierCalls = reg.Counter("esh_verifier_calls_total", "vcp.Compute invocations: one forward direction per cache miss, plus the reverse direction for S-VCP queries.")
-	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences evaluated by the probabilistic verifier.")
+	db.mGamma = reg.Counter("esh_verifier_correspondences_total", "Input correspondences scored by the probabilistic verifier (fingerprints from the kernel or the per-row memo).")
 	db.mGammaCapped = reg.Counter("esh_vcp_gamma_capped_total", "Verifier directions that ended at the γ cap (MaxCorrespondences) without a perfect match; their VCP is a lower bound.")
+	db.hGammaDir = reg.Histogram("esh_vcp_gamma_per_direction",
+		"Input correspondences scored per verifier direction; the le=\"96\" bucket collects the directions that reached the default cap.",
+		gammaDirBounds[:])
+	db.mGammaMemo = reg.Counter("esh_vcp_gamma_memo_hits_total", "Input correspondences scored from the per-row fingerprint memo instead of a kernel row (a subset of esh_verifier_correspondences_total).")
 	db.mLSHSkipped = reg.Counter("esh_lsh_pairs_skipped_total", "Strand pairs skipped before any verifier work because their typed inputs cannot inject in either direction.")
 	db.mDeadDirs = reg.Counter("esh_lsh_dead_directions_total", "Single verifier calls avoided because one direction of a live pair is provably zero (typed inputs cannot inject).")
 	db.mKernelNanos = reg.Counter("esh_vcp_kernel_nanos_total", "Wall nanoseconds the γ loops spent inside the evaluation kernel.")
 	db.mPrefixInstrs = reg.Counter("esh_kernel_prefix_instrs_total", "γ-invariant prefix instructions across prepared strands (hoisted out of the γ loop by the batched kernel).")
 	db.mKernelInstrs = reg.Counter("esh_kernel_instrs_total", "Total compiled instructions across prepared strands.")
 	db.mGammaBatches = reg.Counter("esh_kernel_gamma_batches_total", "γ-batch kernel flushes (one suffix execution each; correspondences/batches is the mean rows per flush).")
-	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows carried by γ-batch kernel flushes (includes rows discarded uncounted after a perfect match or the cap).")
+	db.mGammaRows = reg.Counter("esh_kernel_gamma_batch_rows_total", "Correspondence rows the γ-batch kernel flushes evaluated: memo misses only, including rows discarded uncounted after a perfect match or the cap.")
 	db.hGammaOccup = reg.Histogram("esh_kernel_gamma_batch_occupancy",
 		"Mean γ-batch fill fraction at flush, observed once per query strand row (rows carried / (width × flushes)).",
 		[]float64{0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0})
@@ -698,12 +704,15 @@ type DBStats struct {
 	VCPCacheMisses uint64
 	// VCPPairsPruned counts pairs rejected by the size-ratio window;
 	// VerifierCalls counts vcp.Compute invocations;
-	// VerifierCorrespondences counts γ evaluations inside them;
-	// GammaCapped counts the calls that ended at the γ cap without a
-	// perfect match (their VCP is a lower bound).
+	// VerifierCorrespondences counts γ scored inside them;
+	// GammaMemoHits the γ among those whose fingerprints came from the
+	// per-row memo rather than a kernel row; GammaCapped counts the
+	// calls that ended at the γ cap without a perfect match (their VCP
+	// is a lower bound).
 	VCPPairsPruned          uint64
 	VerifierCalls           uint64
 	VerifierCorrespondences uint64
+	GammaMemoHits           uint64
 	GammaCapped             uint64
 	// LSHBands/LSHRows are the sketch geometry; LSHMinContainment the
 	// band-collision tier setting (0 = off); LSHPairsSkipped the pairs
@@ -738,7 +747,8 @@ type DBStats struct {
 	KernelPrefixInstrs uint64
 	KernelInstrs       uint64
 	// GammaBatches is the cumulative batched-kernel flushes and
-	// GammaBatchRows the correspondences those flushes carried
+	// GammaBatchRows the rows those flushes evaluated — memo misses only,
+	// so GammaBatchRows + GammaMemoHits ≥ VerifierCorrespondences
 	// (rows/(vcp.GammaBatch·batches) is the mean occupancy).
 	GammaBatches   uint64
 	GammaBatchRows uint64
@@ -788,6 +798,7 @@ func (db *DB) Stats() DBStats {
 		VCPPairsPruned:           db.mPairsPruned.Value(),
 		VerifierCalls:            db.mVerifierCalls.Value(),
 		VerifierCorrespondences:  db.mGamma.Value(),
+		GammaMemoHits:            db.mGammaMemo.Value(),
 		GammaCapped:              db.mGammaCapped.Value(),
 		LSHBands:                 skCfg.Bands,
 		LSHRows:                  skCfg.Rows,
@@ -1110,6 +1121,8 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 	// chunks and drained by a bounded worker pool (see vcpRows), so a
 	// query of few large strands still saturates every worker and the
 	// goroutine count is bounded by Workers rather than the strand count.
+	// A cancelled ctx stops the pool at the next chunk boundary and the
+	// query returns ctx's error.
 	_, spVCP := telemetry.StartSpan(ctx, "vcp")
 	if reverse {
 		spVCP.SetAttr("reverse", 1)
@@ -1120,8 +1133,11 @@ func (db *DB) partialQuery(ctx context.Context, p *asm.Proc, qc *queryConfig, re
 	for i, q := range qs {
 		preps[i] = q.prep
 	}
-	rows, revRows := db.vcpRows(preps, spVCP, qc, reverse)
+	rows, revRows, err := db.vcpRows(ctx, preps, spVCP, qc, reverse)
 	db.observeStage("vcp", spVCP.End())
+	if err != nil {
+		return nil, fmt.Errorf("core: query %s: %w", p.Name, err)
+	}
 
 	qp.Weights = make([]float64, len(qs))
 	for i, q := range qs {
@@ -1205,17 +1221,29 @@ type rowStats struct {
 	misses      int   // cache misses (pair results computed)
 	calls       int   // vcp.Compute invocations (up to two per miss)
 	deadDirs    int   // per-direction calls avoided as provably zero
-	gamma       int   // input correspondences evaluated inside them
+	gamma       int   // input correspondences scored inside them
+	memoHits    int   // of those, answered by the row's fingerprint memo
 	capped      int   // calls that ended at the γ cap without a perfect match
 	kernelNanos int64 // wall time inside the evaluation kernel
 	gammaB      int64 // γ-batch kernel flushes
-	gammaRows   int64 // correspondences those flushes carried
+	gammaRows   int64 // rows those flushes evaluated (memo misses)
+	// gammaDir buckets the calls by γ scored on gammaDirBounds (the
+	// last slot is +Inf); with gamma as the sum it is the local form of
+	// esh_vcp_gamma_per_direction.
+	gammaDir [len(gammaDirBounds) + 1]uint64
 }
+
+// gammaDirBounds are the esh_vcp_gamma_per_direction bucket bounds: γ
+// scored per verifier direction, in powers of two up to the default cap
+// (96), whose bucket holds the capped directions.
+var gammaDirBounds = [...]float64{1, 2, 4, 8, 16, 32, 64, 95, 96}
 
 // add counts one verifier call's work.
 func (rs *rowStats) add(st vcp.Stats) {
 	rs.calls++
 	rs.gamma += st.Correspondences
+	rs.memoHits += st.MemoHits
+	rs.gammaDir[sort.SearchFloat64s(gammaDirBounds[:], float64(st.Correspondences))]++
 	if st.Capped {
 		rs.capped++
 	}
@@ -1236,6 +1264,10 @@ func (rs *rowStats) merge(d rowStats) {
 	rs.calls += d.calls
 	rs.deadDirs += d.deadDirs
 	rs.gamma += d.gamma
+	rs.memoHits += d.memoHits
+	for i, n := range d.gammaDir {
+		rs.gammaDir[i] += n
+	}
 	rs.capped += d.capped
 	rs.kernelNanos += d.kernelNanos
 	rs.gammaB += d.gammaB
@@ -1251,7 +1283,11 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	db.mCacheMisses.Add(uint64(rs.misses))
 	db.mVerifierCalls.Add(uint64(rs.calls))
 	db.mGamma.Add(uint64(rs.gamma))
+	db.mGammaMemo.Add(uint64(rs.memoHits))
 	db.mGammaCapped.Add(uint64(rs.capped))
+	if rs.calls > 0 {
+		db.hGammaDir.ObserveBuckets(rs.gammaDir[:], float64(rs.gamma))
+	}
 	db.mKernelNanos.Add(uint64(rs.kernelNanos))
 	if rs.gammaB > 0 {
 		db.mGammaBatches.Add(uint64(rs.gammaB))
@@ -1284,6 +1320,7 @@ func (db *DB) flushRowStats(rs rowStats, sp *telemetry.Span) {
 	sp.AddAttr("cache_misses", float64(rs.misses))
 	sp.AddAttr("verifier_calls", float64(rs.calls))
 	sp.AddAttr("correspondences", float64(rs.gamma))
+	sp.AddAttr("gamma_memo_hits", float64(rs.memoHits))
 	sp.AddAttr("gamma_capped", float64(rs.capped))
 	sp.AddAttr("kernel_nanos", float64(rs.kernelNanos))
 	sp.AddAttr("gamma_batches", float64(rs.gammaB))
@@ -1331,6 +1368,12 @@ type vcpRowState struct {
 	cached map[string][2]float64 // shared-cache snapshot, read-only after init
 	ratio  float64
 
+	// memo is the row's fingerprint memo, shared by every chunk's
+	// forward evaluator (vcp.Memo is safe for that). It allocates on the
+	// row's first kernel evaluation, so a row answered from the VCP
+	// cache never touches it.
+	memo vcp.Memo
+
 	mu      sync.Mutex
 	fresh   map[string][2]float64 // pairs computed by this row's chunks
 	rs      rowStats
@@ -1356,8 +1399,11 @@ func (st *vcpRowState) rowLen() int {
 // count: a query with fewer strands than workers no longer leaves cores
 // idle, and a query with thousands of strands no longer spawns a
 // goroutine per strand. Work counts flow into sp (the shared vcp stage
-// span) and the DB counters once per row.
-func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, reverse bool) (rows, revRows [][]float64) {
+// span) and the DB counters once per row. Each worker checks ctx before
+// taking a chunk: once ctx is done no further chunk starts, vcpRows
+// returns ctx's error after the running chunks finish, and only rows
+// whose every chunk completed reach the VCP cache (finishRow).
+func (db *DB) vcpRows(ctx context.Context, qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, reverse bool) (rows, revRows [][]float64, err error) {
 	n := len(qc.uniq)
 	rows = make([][]float64, len(qs))
 	if reverse {
@@ -1421,7 +1467,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 		}
 	}
 	if len(chunks) == 0 {
-		return rows, revRows
+		return rows, revRows, nil
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -1429,7 +1475,7 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			for ctx.Err() == nil {
 				c := int(next.Add(1)) - 1
 				if c >= len(chunks) {
 					return
@@ -1439,7 +1485,10 @@ func (db *DB) vcpRows(qs []*vcp.Prepared, sp *telemetry.Span, qc *queryConfig, r
 		}()
 	}
 	wg.Wait()
-	return rows, revRows
+	if int(next.Load()) < len(chunks) {
+		return nil, nil, ctx.Err() // a worker stopped before the queue drained
+	}
+	return rows, revRows, nil
 }
 
 // initRow populates a row's shared inputs: the memo-cache snapshot and
@@ -1480,11 +1529,14 @@ func (db *DB) vcpChunk(st *vcpRowState, lo, hi int, sp *telemetry.Span) {
 	// strand's kernel — and its evaluated γ-invariant prefix — persists
 	// across every pair here instead of being re-acquired per pair.
 	// (Chunks of one row run on concurrent workers and kernels are not
-	// concurrency-safe, so the unit of reuse is the chunk, not the row.)
+	// concurrency-safe, so the unit of kernel reuse is the chunk, not the
+	// row; the fingerprint vectors the kernel produces are shared across
+	// the whole row through st.memo.)
 	// The reverse direction (S-VCP queries only) swaps the query to the
 	// target strand each pair, so it keeps the per-call path.
 	fwdEval := vcp.NewEvaluator(q, st.qc.opts.VCP)
 	defer fwdEval.Close()
+	fwdEval.ShareMemo(&st.memo)
 	for k := lo; k < hi; k++ {
 		j := k
 		if st.rs.probeOn {

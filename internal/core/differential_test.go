@@ -138,7 +138,44 @@ func TestGammaBatchDifferential(t *testing.T) {
 	if st.GammaBatchRows > st.GammaBatches*vcp.GammaBatch {
 		t.Errorf("%d rows over %d batches exceeds the width %d", st.GammaBatchRows, st.GammaBatches, vcp.GammaBatch)
 	}
-	t.Logf("%d γ over %d batches (%d rows, mean occupancy %.2f)",
+	if st.GammaBatchRows+st.GammaMemoHits < st.VerifierCorrespondences {
+		t.Errorf("%d kernel rows + %d memo hits cannot cover %d γ scored",
+			st.GammaBatchRows, st.GammaMemoHits, st.VerifierCorrespondences)
+	}
+	t.Logf("%d γ over %d batches (%d rows, mean occupancy %.2f); %d γ from the memo",
 		st.VerifierCorrespondences, st.GammaBatches, st.GammaBatchRows,
-		float64(st.GammaBatchRows)/float64(st.GammaBatches*vcp.GammaBatch))
+		float64(st.GammaBatchRows)/float64(st.GammaBatches*vcp.GammaBatch), st.GammaMemoHits)
+}
+
+// TestMemoSharedAcrossChunks runs the differential queries on a fresh
+// DB with more workers than the fixture and a row cut into many chunks,
+// so chunks of one query strand's row run concurrently and share its
+// fingerprint memo (under -race in CI). Rankings, raw scores, γ scored
+// and γ-capped directions must still equal the scalar oracle's, and the
+// memo must have answered part of the γ.
+func TestMemoSharedAcrossChunks(t *testing.T) {
+	fx := loadDiffFixture(t)
+	db := NewDB(Options{Workers: 4})
+	fillDB(t, db, fx.procs)
+	for i, q := range fx.queries {
+		rep, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracleMatch(t, q.Name, rep, fx.want[i])
+	}
+	st := db.Stats()
+	if st.VerifierCorrespondences != uint64(fx.work.gamma) || st.GammaCapped != uint64(fx.work.capped) {
+		t.Errorf("γ %d / capped %d, oracle %d / %d",
+			st.VerifierCorrespondences, st.GammaCapped, fx.work.gamma, fx.work.capped)
+	}
+	if st.GammaMemoHits == 0 || st.GammaMemoHits >= st.VerifierCorrespondences {
+		t.Errorf("%d of %d γ from the memo: want some, not all", st.GammaMemoHits, st.VerifierCorrespondences)
+	}
+	if size := pairChunk(1, len(db.uniq), 4); size >= len(db.uniq)/4 {
+		t.Errorf("chunk size %d leaves rows of %d pairs too few chunks to share", size, len(db.uniq))
+	}
+	t.Logf("%d of %d γ from the memo (%.1f%%), %d kernel rows",
+		st.GammaMemoHits, st.VerifierCorrespondences,
+		100*float64(st.GammaMemoHits)/float64(st.VerifierCorrespondences), st.GammaBatchRows)
 }

@@ -242,4 +242,26 @@ func TestMetricsExpositionLint(t *testing.T) {
 	if fr, ok := byName["esh_flight_recorder_records"]; !ok || fr.Samples[0].Value != 1 {
 		t.Errorf("esh_flight_recorder_records: %+v", fr)
 	}
+	if mh, ok := byName["esh_vcp_gamma_memo_hits_total"]; !ok || mh.Type != "counter" {
+		t.Errorf("esh_vcp_gamma_memo_hits_total missing or not a counter: %+v", mh)
+	}
+	// One query's verifier directions, bucketed by γ scored: the +Inf
+	// bucket's cumulative count equals the verifier calls.
+	gd, ok := byName["esh_vcp_gamma_per_direction"]
+	if !ok || gd.Type != "histogram" {
+		t.Fatalf("esh_vcp_gamma_per_direction missing or not a histogram: %+v", gd)
+	}
+	var inf, count float64 = -1, -2
+	for _, smp := range gd.Samples {
+		if le, _ := smp.Label("le"); smp.Name == "esh_vcp_gamma_per_direction_bucket" && le == "+Inf" {
+			inf = smp.Value
+		}
+		if smp.Name == "esh_vcp_gamma_per_direction_count" {
+			count = smp.Value
+		}
+	}
+	calls, ok := byName["esh_verifier_calls_total"]
+	if !ok || count <= 0 || inf != count || count != calls.Samples[0].Value {
+		t.Errorf("γ-per-direction +Inf bucket %v, count %v; verifier calls %+v", inf, count, calls)
+	}
 }

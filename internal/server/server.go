@@ -34,7 +34,9 @@ import (
 // Config tunes the service. Zero values select the documented defaults.
 type Config struct {
 	// QueryTimeout bounds one query's wall time, queueing included
-	// (default 60s).
+	// (default 60s). Past it the client gets 504 and the engine, which
+	// runs under the same deadline, stops at its next stage-3 chunk
+	// and frees the query's in-flight slot.
 	QueryTimeout time.Duration
 	// MaxInFlight bounds concurrently executing queries; excess
 	// requests are rejected with 429 (default 2×GOMAXPROCS).
@@ -500,14 +502,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		err error
 	}
 	done := make(chan result, 1)
-	// The engine runs on a background context (not r.Context()): a query
-	// is not cancellable once started, and the span tree must stay valid
-	// past a client disconnect. The root span covers queueing-free engine
-	// time; QueryCtx hangs the stage spans under it.
+	// The engine runs on a background context (not r.Context()), so the
+	// span tree stays valid past a client disconnect. The root span
+	// covers queueing-free engine time; QueryCtx hangs the stage spans
+	// under it. The context wrapped around the span carries the query
+	// deadline: at QueryTimeout the engine stops at its next stage-3
+	// chunk and gives back the in-flight slot.
 	qctx, root := telemetry.StartSpan(context.Background(), "query")
+	ectx, cancel := context.WithTimeout(qctx, s.cfg.QueryTimeout)
 	go func() {
 		defer func() { <-s.sem }()
-		rep, err := s.queryFn(qctx, procs[0], m)
+		defer cancel()
+		rep, err := s.queryFn(ectx, procs[0], m)
 		root.End()
 		done <- result{rep, err}
 	}()
@@ -517,6 +523,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := RequestID(r.Context())
 	select {
 	case res := <-done:
+		if res.err != nil && ectx.Err() == context.DeadlineExceeded {
+			// The deadline cut the engine short before the timer fired.
+			s.timeout(w, "query", rid, start, root)
+			return
+		}
 		if res.err != nil {
 			s.count("failure")
 			s.record("query", rid, "failure", res.err.Error(), start, root)
@@ -535,14 +546,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case <-timer.C:
-		// The engine query is not cancellable; it keeps running (and
-		// keeps holding its in-flight slot) while the client gets a 504.
-		// The record snapshots the still-running span tree: elapsed time
-		// so far, with whatever stages have finished.
-		s.count("timeout")
-		s.record("query", rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
+		// The engine sees the same deadline and stops at its next
+		// stage-3 chunk, releasing its in-flight slot; the client does
+		// not wait for that. The record snapshots the still-running span
+		// tree: elapsed time so far, with whatever stages have finished.
+		s.timeout(w, "query", rid, start, root)
 	}
+}
+
+// timeout answers a query that exceeded QueryTimeout with 504 and
+// records it.
+func (s *Server) timeout(w http.ResponseWriter, kind, rid string, start time.Time, root *telemetry.Span) {
+	s.count("timeout")
+	s.record(kind, rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
+	s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
 }
 
 // PartialResponse is the POST /v1/query/partial reply: one shard's
@@ -609,9 +626,11 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	done := make(chan result, 1)
 	qctx, root := telemetry.StartSpan(context.Background(), "query_partial")
+	ectx, cancel := context.WithTimeout(qctx, s.cfg.QueryTimeout)
 	go func() {
 		defer func() { <-s.sem }()
-		qp, err := s.partialFn(qctx, procs[0], m)
+		defer cancel()
+		qp, err := s.partialFn(ectx, procs[0], m)
 		root.End()
 		done <- result{qp, err}
 	}()
@@ -621,6 +640,10 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	rid := RequestID(r.Context())
 	select {
 	case res := <-done:
+		if res.err != nil && ectx.Err() == context.DeadlineExceeded {
+			s.timeout(w, "partial", rid, start, root)
+			return
+		}
 		if res.err != nil {
 			s.count("failure")
 			s.record("partial", rid, "failure", res.err.Error(), start, root)
@@ -641,9 +664,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, resp)
 	case <-timer.C:
-		s.count("timeout")
-		s.record("partial", rid, "timeout", fmt.Sprintf("query exceeded %s", s.cfg.QueryTimeout), start, root)
-		s.fail(w, http.StatusGatewayTimeout, "query exceeded %s", s.cfg.QueryTimeout)
+		s.timeout(w, "partial", rid, start, root)
 	}
 }
 
@@ -951,7 +972,8 @@ type StatsResponse struct {
 		TableSkew       float64 `json:"table_skew"`
 	} `json:"retrieval"`
 	// Engine aggregates pipeline work across all queries: verifier
-	// effort (with the directions that hit the γ cap), pruning
+	// effort (γ scored, the share of them answered by the per-row
+	// fingerprint memo, and the directions that hit the γ cap), pruning
 	// effectiveness, evaluation-kernel time and γ-batch flushes,
 	// γ-invariant hoisting coverage, and cumulative per-stage wall
 	// time.
@@ -960,6 +982,7 @@ type StatsResponse struct {
 		PairsPruned             uint64             `json:"pairs_pruned"`
 		VerifierCalls           uint64             `json:"verifier_calls"`
 		VerifierCorrespondences uint64             `json:"verifier_correspondences"`
+		GammaMemoHits           uint64             `json:"gamma_memo_hits"`
 		GammaCapped             uint64             `json:"gamma_capped"`
 		SigmoidK                float64            `json:"sigmoid_k"`
 		KernelSeconds           float64            `json:"kernel_seconds"`
@@ -1057,6 +1080,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Engine.PairsPruned = dbs.VCPPairsPruned
 	resp.Engine.VerifierCalls = dbs.VerifierCalls
 	resp.Engine.VerifierCorrespondences = dbs.VerifierCorrespondences
+	resp.Engine.GammaMemoHits = dbs.GammaMemoHits
 	resp.Engine.GammaCapped = dbs.GammaCapped
 	resp.Engine.SigmoidK = s.db.Options().SigmoidK
 	resp.Engine.KernelSeconds = float64(dbs.KernelNanos) / 1e9

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -274,6 +275,60 @@ func TestQueryTimeout(t *testing.T) {
 	}
 }
 
+// TestQueryTimeoutFreesSlot: the engine runs under the query deadline,
+// so a query that outlives QueryTimeout stops and gives back its
+// in-flight slot instead of holding it after the 504 — on /v1/query
+// and /v1/query/partial, with a stub engine that waits for its context
+// and with the real one.
+func TestQueryTimeoutFreesSlot(t *testing.T) {
+	cfg := quietConfig()
+	cfg.QueryTimeout = 20 * time.Millisecond
+	cfg.MaxInFlight = 1
+	s, ts := newTestServer(t, testDB(t), cfg, func(ctx context.Context, p *asm.Proc, _ stats.Method) (*core.Report, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	s.partialFn = func(ctx context.Context, p *asm.Proc, _ stats.Method) (*core.QueryPartial, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	slotFreed := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for len(s.sem) > 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := len(s.sem); n > 0 {
+			t.Fatalf("%s: %d in-flight slots still held after the timeout", what, n)
+		}
+	}
+	for i := 0; i < 2; i++ { // the second round needs the slot the first freed
+		if resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle}); resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("query status %d, want 504", resp.StatusCode)
+		}
+		slotFreed("query")
+		body := strings.NewReader(`{"asm": ` + fmt.Sprintf("%q", gccStyle) + `}`)
+		resp, err := http.Post(ts.URL+"/v1/query/partial", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("partial status %d, want 504", resp.StatusCode)
+		}
+		slotFreed("partial")
+	}
+
+	// The real engine: a deadline that has passed before stage 3 starts
+	// stops the query at its first chunk.
+	cfg.QueryTimeout = time.Nanosecond
+	s, ts = newTestServer(t, testDB(t), cfg, nil)
+	if resp := postQuery(t, ts.URL, QueryRequest{Asm: gccStyle}); resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("engine query status %d, want 504", resp.StatusCode)
+	}
+	slotFreed("engine query")
+}
+
 // TestInFlightLimit saturates MaxInFlight with blocked queries and
 // expects the next request to be shed with 429.
 func TestInFlightLimit(t *testing.T) {
@@ -442,6 +497,9 @@ func TestQueryTrace(t *testing.T) {
 	if c, ok := vcpSpan.Attrs["gamma_capped"]; !ok || c < 0 || c > vcpSpan.Attrs["verifier_calls"] {
 		t.Errorf("vcp span gamma_capped attr missing or out of range: %v", vcpSpan.Attrs)
 	}
+	if h, ok := vcpSpan.Attrs["gamma_memo_hits"]; !ok || h < 0 || h > vcpSpan.Attrs["correspondences"] {
+		t.Errorf("vcp span gamma_memo_hits attr missing or out of range: %v", vcpSpan.Attrs)
+	}
 	// The default method (Esh) never pays for the reverse direction.
 	if r, ok := vcpSpan.Attrs["reverse"]; !ok || r != 0 {
 		t.Errorf("default-method query span reverse=%v (present %t), want 0", r, ok)
@@ -538,5 +596,8 @@ func TestStatsAfterQueries(t *testing.T) {
 	}
 	if st.Engine.VerifierCalls == 0 {
 		t.Error("verifier calls not reported")
+	}
+	if st.Engine.GammaMemoHits > st.Engine.VerifierCorrespondences {
+		t.Errorf("gamma_memo_hits %d exceeds the %d γ scored", st.Engine.GammaMemoHits, st.Engine.VerifierCorrespondences)
 	}
 }

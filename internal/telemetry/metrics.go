@@ -96,6 +96,32 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
+// ObserveBuckets records a batch of observations counted elsewhere:
+// counts[i] values that Observe would have placed in bucket i (ordered
+// like the histogram's bounds, the last slot +Inf), summing to sum. It
+// lets a hot loop bucket locally and publish once. It panics when counts
+// does not have one slot per bucket.
+func (h *Histogram) ObserveBuckets(counts []uint64, sum float64) {
+	if len(counts) != len(h.buckets) {
+		panic("telemetry: ObserveBuckets with a bucket count that does not match the histogram")
+	}
+	var n uint64
+	for i, c := range counts {
+		if c > 0 {
+			h.buckets[i].Add(c)
+			n += c
+		}
+	}
+	h.count.Add(n)
+	for {
+		old := h.sumBits.Load()
+		next := math.Float64bits(math.Float64frombits(old) + sum)
+		if h.sumBits.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 

@@ -33,6 +33,46 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestObserveBucketsMatchesObserve: publishing locally bucketed counts
+// leaves the histogram exactly as observing each value would.
+func TestObserveBucketsMatchesObserve(t *testing.T) {
+	vals := []float64{0, 1, 3, 5, 7, 10, 12, 96}
+	one, batch := newHistogram([]float64{1, 5, 10}), newHistogram([]float64{1, 5, 10})
+	counts := make([]uint64, 4)
+	sum := 0.0
+	for _, v := range vals {
+		one.Observe(v)
+		switch {
+		case v <= 1:
+			counts[0]++
+		case v <= 5:
+			counts[1]++
+		case v <= 10:
+			counts[2]++
+		default:
+			counts[3]++
+		}
+		sum += v
+	}
+	batch.ObserveBuckets(counts, sum)
+	_, want := one.Snapshot()
+	_, got := batch.Snapshot()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("buckets %v, want %v", got, want)
+		}
+	}
+	if batch.Count() != one.Count() || batch.Sum() != one.Sum() {
+		t.Fatalf("count/sum %d/%v, want %d/%v", batch.Count(), batch.Sum(), one.Count(), one.Sum())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("ObserveBuckets accepted a mismatched bucket slice")
+		}
+	}()
+	batch.ObserveBuckets(counts[:3], 0)
+}
+
 // TestWriteTextGolden pins the Prometheus text exposition byte for byte.
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()

@@ -36,6 +36,7 @@ type QueryRecord struct {
 	PairsSkipped    int64   `json:"pairs_skipped,omitempty"`
 	VerifierCalls   int64   `json:"verifier_calls,omitempty"`
 	Correspondences int64   `json:"correspondences,omitempty"`
+	GammaMemoHits   int64   `json:"gamma_memo_hits,omitempty"`
 	CacheHits       int64   `json:"cache_hits,omitempty"`
 	CacheMisses     int64   `json:"cache_misses,omitempty"`
 	KernelMS        float64 `json:"kernel_ms,omitempty"`
@@ -76,6 +77,8 @@ func (rec *QueryRecord) adoptAttrs(attrs map[string]float64) {
 			rec.VerifierCalls += int64(v)
 		case "correspondences":
 			rec.Correspondences += int64(v)
+		case "gamma_memo_hits":
+			rec.GammaMemoHits += int64(v)
 		case "cache_hits":
 			rec.CacheHits += int64(v)
 		case "cache_misses":

@@ -235,19 +235,23 @@ func SizeCompatible(q, t *strand.Strand, ratio float64) bool {
 }
 
 // Stats reports the work one Compute call performed, for telemetry:
-// Correspondences is the number of input correspondences γ whose
-// evaluation vectors were computed and matched (each one is a
-// probabilistic-verifier invocation); KernelNanos is the wall time
-// spent strictly inside kernel/interpreter evaluation — batch flushes
-// or scalar interpreter passes — excluding candidate ordering, the
-// enumeration itself, and fpSet matching, so the metric built on it
-// does not overcount. Batches counts kernel flushes and BatchRows the
-// correspondences they carried; BatchRows/(width·Batches) is the
-// mean batch occupancy. Capped reports that the enumeration stopped at
+// Correspondences is the number of input correspondences γ scored —
+// whose fingerprints were matched against the target (each one is a
+// probabilistic-verifier invocation), whether they came from the kernel
+// or from a shared Memo; MemoHits is how many of them came from the
+// Memo. KernelNanos is the wall time spent strictly inside
+// kernel/interpreter evaluation — batch flushes or scalar interpreter
+// passes — excluding candidate ordering, the enumeration itself, memo
+// lookups and fpSet matching, so the metric built on it does not
+// overcount. Batches counts kernel flushes and BatchRows the rows they
+// evaluated (memo misses only; rows discarded after a perfect match or
+// the cap included); BatchRows/(width·Batches) is the mean batch
+// occupancy. Capped reports that the enumeration stopped at
 // MaxCorrespondences without a perfect match, so the returned VCP is a
 // lower bound of the uncapped search.
 type Stats struct {
 	Correspondences int
+	MemoHits        int
 	KernelNanos     int64
 	Batches         int64
 	BatchRows       int64
@@ -293,12 +297,28 @@ func ComputeScalar(q, t *Prepared, cfg Config) (float64, Stats) {
 // targets, holding the query's evaluation kernel — and its evaluated
 // γ-invariant prefix — across pairs. One acquire per query row instead
 // of one per pair; the prefix is re-evaluated only when the pooled
-// kernel's shape actually changes. Not safe for concurrent use.
+// kernel's shape actually changes. With a Memo attached (ShareMemo) it
+// also reuses fingerprint vectors across pairs. Not safe for concurrent
+// use; the Memo it shares is.
 type Evaluator struct {
 	q    *Prepared
 	cfg  Config
 	kern *smt.Kernel
 	g    int
+
+	memo *Memo
+	// Per-Compute scratch, kept across pairs: the scoring queue, and the
+	// slot assignments and hashes of the kernel rows staged in it.
+	queue  []queued
+	keys   []int
+	hashes []uint64
+}
+
+// queued is one enumerated leaf awaiting scoring: a memo hit carries its
+// fingerprints, a kernel row (fps == nil) its row index in the batch.
+type queued struct {
+	fps []uint64
+	row int
 }
 
 // NewEvaluator prepares a reusable evaluator for the query strand: the
@@ -322,6 +342,13 @@ func newEvaluator(q *Prepared, cfg Config, g int) *Evaluator {
 	return ev
 }
 
+// ShareMemo attaches m: from the next Compute on, every enumerated
+// assignment is looked up in m first, and every kernel-evaluated one is
+// added to it. m must belong to this evaluator's query strand and
+// configuration (see Memo); nil detaches. Scores and Correspondences are
+// unchanged by the memo — only kernel work drops.
+func (ev *Evaluator) ShareMemo(m *Memo) { ev.memo = m }
+
 // Close releases the held kernel. The evaluator must not be used after.
 func (ev *Evaluator) Close() {
 	if ev.kern != nil {
@@ -332,12 +359,15 @@ func (ev *Evaluator) Close() {
 
 // Compute returns VCP(ev.q, t) plus the work report. Scores, rankings
 // and Correspondences counts are Float64bits-identical across every
-// γ-batch width and the scalar interpreter: γ candidates are
-// enumerated in the same order, a batch row buffered after a perfect
-// match or past the MaxCorrespondences cap is discarded uncounted at
-// flush — exactly the candidates the unbatched loop would never have
-// evaluated — and fingerprints per row are bit-equal to a lone
-// evaluation under that row's assignment.
+// γ-batch width, the scalar interpreter, and with or without a Memo:
+// γ candidates are enumerated in the same order and scored strictly in
+// that order — a memo hit that lands behind kernel rows still waiting
+// for their flush waits in the queue with them — a queued leaf left
+// after a perfect match or past the MaxCorrespondences cap is discarded
+// uncounted at flush — exactly the candidates the unbatched loop would
+// never have evaluated — and fingerprints per leaf are bit-equal to a
+// lone evaluation under that leaf's assignment, whether the kernel, the
+// interpreter or the memo supplies them.
 func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	q, cfg := ev.q, ev.cfg
 	if q.err != nil || t.err != nil || q.S.NumVars() == 0 {
@@ -351,7 +381,8 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	// target slots.
 	qIn := q.S.Inputs
 	tIn := t.S.Inputs
-	assignment := make([]int, len(qIn)) // q input index -> target slot
+	nIn := len(qIn)
+	assignment := make([]int, nIn) // q input index -> target slot
 	usedSlot := make([]bool, len(tIn))
 	best := 0.0
 	tried := 0
@@ -362,7 +393,7 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	// matching inputs across real compilations almost always play the
 	// same syntactic role, so the right correspondence is found within
 	// the first few attempts and the cap rarely bites.
-	candidates := make([][]int, len(qIn))
+	candidates := make([][]int, nIn)
 	for i := range qIn {
 		var same, other []int
 		for slot := 0; slot < len(tIn); slot++ {
@@ -378,10 +409,14 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 		candidates[i] = append(same, other...)
 	}
 
-	// score matches one correspondence's fingerprints against the
-	// target set and advances best. Counting (tried++) happens at the
-	// caller so both paths charge correspondences identically.
-	score := func(fps []uint64) {
+	// score counts one correspondence, matches its fingerprints against
+	// the target set and advances best. Callers have checked that
+	// neither a perfect match nor the cap stopped the search.
+	score := func(fps []uint64, hit bool) {
+		tried++
+		if hit {
+			st.MemoHits++
+		}
 		matched := 0
 		for _, h := range fps {
 			if t.fpSet[h] {
@@ -393,80 +428,98 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 		}
 	}
 
-	if ev.kern == nil {
-		// Scalar reference interpreter: one full pass per sample, one
-		// evaluation per correspondence. Only the interpreter call is
-		// timed (satellite of the overcounting fix: candidate ordering
-		// and fpSet matching used to pollute KernelNanos).
-		var rec func(i int)
-		rec = func(i int) {
-			if best >= 1.0 || tried >= cfg.MaxCorrespondences {
-				return
-			}
-			if i == len(qIn) {
-				tried++
-				t0 := time.Now()
-				fps := q.prog.Fingerprints(assignment, cfg.Samples)
-				st.KernelNanos += time.Since(t0).Nanoseconds()
-				score(fps)
-				return
-			}
-			for _, slot := range candidates[i] {
-				if usedSlot[slot] {
-					continue
-				}
-				usedSlot[slot] = true
-				assignment[i] = slot
-				rec(i + 1)
-				usedSlot[slot] = false
-			}
-		}
-		rec(0)
-		st.Correspondences = tried
-		st.Capped = best < 1.0 && tried >= cfg.MaxCorrespondences
-		return best, st
+	// The leaf queue: with the batched kernel, kernel rows wait for their
+	// flush, and any memo hit enumerated after them waits behind them so
+	// leaves are scored in enumeration order. staged counts the kernel
+	// rows bound so far; keys/hashes hold their assignments for the memo.
+	kern, g, memo := ev.kern, ev.g, ev.memo
+	queue := ev.queue[:0]
+	staged := 0
+	if memo != nil && len(ev.hashes) < max(g, 1) {
+		ev.hashes = make([]uint64, max(g, 1))
+		ev.keys = make([]int, g*nIn) // the scalar path keys by assignment
 	}
-
-	// The batched γ loop: complete assignments accumulate into kernel
-	// rows and flush through ONE suffix execution over buffered·k lanes.
-	kern, g := ev.kern, ev.g
-	buffered := 0
 	flush := func() {
-		if buffered == 0 {
+		if len(queue) == 0 {
 			return
 		}
-		rows := buffered
-		buffered = 0
-		t0 := time.Now()
-		fps := kern.FingerprintsRows(rows)
-		st.KernelNanos += time.Since(t0).Nanoseconds()
-		st.Batches++
-		st.BatchRows += int64(rows)
-		nd := len(fps) / rows
-		for r := 0; r < rows; r++ {
-			// A perfect match or the cap mid-batch discards the
-			// remaining rows uncounted: the unbatched loop would have
+		var fps []uint64
+		nd := 0
+		if staged > 0 {
+			t0 := time.Now()
+			fps = kern.FingerprintsRows(staged)
+			st.KernelNanos += time.Since(t0).Nanoseconds()
+			st.Batches++
+			st.BatchRows += int64(staged)
+			nd = len(fps) / staged
+			if memo != nil {
+				memo.insertRows(nd, nIn, fps, ev.keys[:staged*nIn], ev.hashes[:staged])
+			}
+		}
+		for _, it := range queue {
+			// A perfect match or the cap mid-queue discards the
+			// remaining leaves uncounted: the unbatched loop would have
 			// stopped before evaluating them.
 			if best >= 1.0 || tried >= cfg.MaxCorrespondences {
 				break
 			}
-			tried++
-			score(fps[r*nd : (r+1)*nd])
+			if it.fps != nil {
+				score(it.fps, true)
+			} else {
+				score(fps[it.row*nd:(it.row+1)*nd], false)
+			}
+		}
+		queue = queue[:0]
+		staged = 0
+	}
+	leaf := func() {
+		var h uint64
+		if memo != nil {
+			h = hashAssignment(assignment)
+			if fps := memo.lookup(h, assignment); fps != nil {
+				if len(queue) == 0 {
+					score(fps, true)
+				} else {
+					queue = append(queue, queued{fps: fps})
+				}
+				return
+			}
+		}
+		if kern == nil {
+			// Scalar reference interpreter: one full pass per sample,
+			// one evaluation per correspondence, scored at once (the
+			// queue stays empty on this path). Only the interpreter
+			// call is timed.
+			t0 := time.Now()
+			fps := q.prog.Fingerprints(assignment, cfg.Samples)
+			st.KernelNanos += time.Since(t0).Nanoseconds()
+			if memo != nil {
+				ev.hashes[0] = h
+				memo.insertRows(len(fps), nIn, fps, assignment, ev.hashes[:1])
+			}
+			score(fps, false)
+			return
+		}
+		kern.BindRow(staged, assignment)
+		if memo != nil {
+			ev.hashes[staged] = h
+			copy(ev.keys[staged*nIn:], assignment)
+		}
+		queue = append(queue, queued{row: staged})
+		staged++
+		if staged == g {
+			flush()
 		}
 	}
 	var rec func(i int)
 	rec = func(i int) {
-		// Count buffered rows against the cap so enumeration halts at
+		// Count queued leaves against the cap so enumeration halts at
 		// exactly the candidate where the unbatched loop would.
-		if best >= 1.0 || tried+buffered >= cfg.MaxCorrespondences {
+		if best >= 1.0 || tried+len(queue) >= cfg.MaxCorrespondences {
 			return
 		}
-		if i == len(qIn) {
-			kern.BindRow(buffered, assignment)
-			buffered++
-			if buffered == g {
-				flush()
-			}
+		if i == nIn {
+			leaf()
 			return
 		}
 		for _, slot := range candidates[i] {
@@ -481,6 +534,7 @@ func (ev *Evaluator) Compute(t *Prepared) (float64, Stats) {
 	}
 	rec(0)
 	flush() // partial final batch
+	ev.queue = queue
 	st.Correspondences = tried
 	st.Capped = best < 1.0 && tried >= cfg.MaxCorrespondences
 	return best, st
